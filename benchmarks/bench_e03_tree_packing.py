@@ -2,11 +2,11 @@
 
 from repro.core.tree_packing import pack_trees
 from repro.experiments import e03_tree_packing
-from repro.graphs import random_connected_gnm
+from repro.graphs import csr_random_connected_gnm
 
 
 def test_e03_pack_trees(benchmark):
-    graph = random_connected_gnm(48, 120, seed=7, weight_high=25)
+    graph = csr_random_connected_gnm(48, 120, seed=7, weight_high=25)
     packing = benchmark(lambda: pack_trees(graph, seed=7))
     assert packing.trees
 

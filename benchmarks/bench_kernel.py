@@ -1,15 +1,16 @@
-"""Kernel micro-benchmarks: the PR 1 acceptance bar, pytest-benchmark style.
+"""Kernel micro-benchmarks, pytest-benchmark style.
 
 Run directly (the bench files are not collected by the default test run)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py -q
-"""
 
-import time
+The kernel is the only implementation of these primitives; its
+correctness reference lives in ``tests/reference.py`` and is exercised by
+``tests/test_kernel.py``.
+"""
 
 from repro.core.cut_values import cover_values, two_respecting_oracle
 from repro.graphs import random_connected_gnm, random_spanning_tree
-from repro.kernel import use_kernel, use_legacy
 from repro.trees.rooted import RootedTree
 
 N, M, SEED = 512, 2048, 7
@@ -23,44 +24,9 @@ def _instance():
 
 def test_kernel_cover_values(benchmark):
     graph, tree = _instance()
-    with use_kernel():
-        benchmark(lambda: cover_values(graph, tree))
+    benchmark(lambda: cover_values(graph, tree))
 
 
 def test_kernel_oracle(benchmark):
     graph, tree = _instance()
-    with use_kernel():
-        benchmark(lambda: two_respecting_oracle(graph, tree))
-
-
-def test_speedup_bar_and_bit_identity():
-    """Acceptance: >= 5x over legacy at n=512, m=2048, identical values."""
-    graph, tree = _instance()
-
-    def best_of(fn, reps):
-        best = float("inf")
-        result = None
-        for _ in range(reps):
-            start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    with use_kernel():
-        tree.kernel  # build once; every caller in the pipeline reuses it
-        fast_cover_s, fast_cover = best_of(lambda: cover_values(graph, tree), 3)
-        fast_oracle_s, fast_oracle = best_of(
-            lambda: two_respecting_oracle(graph, tree), 3
-        )
-    with use_legacy():
-        legacy_cover_s, legacy_cover = best_of(
-            lambda: cover_values(graph, tree), 1
-        )
-        legacy_oracle_s, legacy_oracle = best_of(
-            lambda: two_respecting_oracle(graph, tree), 1
-        )
-
-    assert fast_cover == legacy_cover
-    assert fast_oracle == legacy_oracle
-    assert legacy_cover_s / fast_cover_s >= 5.0, (legacy_cover_s, fast_cover_s)
-    assert legacy_oracle_s / fast_oracle_s >= 5.0, (legacy_oracle_s, fast_oracle_s)
+    benchmark(lambda: two_respecting_oracle(graph, tree))

@@ -13,25 +13,28 @@ Run:  python examples/tree_packing_demo.py
 
 import repro
 from repro.baselines import stoer_wagner_min_cut
-from repro.graphs import random_connected_gnm
-from repro.trees.rooted import RootedTree, edge_key
+from repro.graphs import csr_random_connected_gnm
+from repro.trees.rooted import RootedTree
 
 
 def main() -> None:
-    graph = random_connected_gnm(40, 110, seed=21, weight_high=25)
+    graph = csr_random_connected_gnm(40, 110, seed=21, weight_high=25)
     value, (side, _other) = stoer_wagner_min_cut(graph)
-    print(f"graph n={graph.number_of_nodes()} m={graph.number_of_edges()}, "
-          f"true min-cut = {value}")
+    print(f"graph n={graph.n} m={graph.m}, true min-cut = {value}")
 
     packing = repro.pack_trees(graph, seed=21)
     print(f"\npacked {len(packing.trees)} trees "
           f"(sampled={packing.sampled}, "
           f"boruvka rounds charged={packing.ma_rounds:,.0f})")
 
+    # Each packed tree is an adjacency mapping {node: [neighbors]}.
     crossings = []
     for index, tree in enumerate(packing.trees):
         crossed = sum(
-            1 for u, v in tree.edges() if (u in side) != (v in side)
+            1
+            for u in tree
+            for v in tree[u]
+            if u < v and (u in side) != (v in side)
         )
         crossings.append(crossed)
         marker = " <-- 2-respects the min-cut" if crossed <= 2 else ""
@@ -42,9 +45,7 @@ def main() -> None:
     print(f"\n2-respecting solver found value {result.value} on tree "
           f"#{result.best_tree_index}")
     print(f"witness tree edges: {result.respecting_edges}")
-    tree = packing.trees[result.best_tree_index]
-    root = min(tree.nodes())
-    rooted = RootedTree(tree, root)
+    rooted = RootedTree(packing.trees[result.best_tree_index], 0)
     for edge in result.respecting_edges:
         print(f"  {edge}: subtree below has "
               f"{len(rooted.subtree_nodes(rooted.bottom(edge)))} nodes")

@@ -12,11 +12,12 @@ cross-check two independent implementations against each other.
 from __future__ import annotations
 
 import heapq
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
-import networkx as nx
+from repro.graphs.csr import CSRGraph, as_csr
 
-from repro.graphs.csr import CSRGraph
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 
@@ -26,45 +27,32 @@ def stoer_wagner_min_cut(
 ) -> tuple[float, tuple[frozenset, frozenset]]:
     """Exact minimum cut value and the corresponding node bipartition.
 
-    Accepts a networkx graph or a :class:`CSRGraph` (dense-index node
-    space; the adjacency dicts are seeded straight from the edge table).
+    Runs in the dense-index space of a :class:`CSRGraph` (the adjacency
+    dicts are seeded straight from the edge table).  A networkx graph is
+    converted once at this boundary and its partition is reported in its
+    own node labels; a CSR graph's partition holds indices.
     """
-    if isinstance(graph, CSRGraph):
-        n = graph.n
-        if n < 2:
-            raise ValueError("minimum cut needs at least two nodes")
-        if not graph.is_connected():
-            raise ValueError("graph must be connected")
-        adjacency: dict[Node, dict[Node, float]] = {v: {} for v in range(n)}
-        for u, v, weight in zip(
-            graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_w.tolist()
-        ):
-            if u == v:
-                continue
-            adjacency[u][v] = adjacency[u].get(v, 0) + weight
-            adjacency[v][u] = adjacency[v].get(u, 0) + weight
-        merged: dict[Node, set] = {v: {v} for v in range(n)}
-        all_nodes = frozenset(range(n))
-        return _stoer_wagner(adjacency, merged, all_nodes)
-
-    n = graph.number_of_nodes()
+    csr = as_csr(graph)
+    n = csr.n
     if n < 2:
         raise ValueError("minimum cut needs at least two nodes")
-    if not nx.is_connected(graph):
+    if not csr.is_connected():
         raise ValueError("graph must be connected")
-
-    # Mutable weighted adjacency over supernodes; merged[v] tracks the
-    # original nodes a supernode stands for.
-    adjacency = {v: {} for v in graph.nodes()}
-    for u, v, data in graph.edges(data=True):
+    adjacency: dict[Node, dict[Node, float]] = {v: {} for v in range(n)}
+    for u, v, weight in zip(
+        csr.edge_u.tolist(), csr.edge_v.tolist(), csr.edge_w.tolist()
+    ):
         if u == v:
             continue
-        weight = data.get("weight", 1)
         adjacency[u][v] = adjacency[u].get(v, 0) + weight
         adjacency[v][u] = adjacency[v].get(u, 0) + weight
-    merged = {v: {v} for v in graph.nodes()}
-    all_nodes = frozenset(graph.nodes())
-    return _stoer_wagner(adjacency, merged, all_nodes)
+    merged: dict[Node, set] = {v: {v} for v in range(n)}
+    value, (side, other) = _stoer_wagner(adjacency, merged, frozenset(range(n)))
+    if csr is not graph and csr.nodes is not None:
+        labels = csr.nodes
+        side = frozenset(labels[i] for i in side)
+        other = frozenset(labels[i] for i in other)
+    return value, (side, other)
 
 
 def _stoer_wagner(

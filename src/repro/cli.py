@@ -23,18 +23,15 @@ The ``sweep`` command runs a whole family sweep through the batched
 :func:`repro.minimum_cut_many` entrypoint (one amortized pipeline across
 all instances, bit-identical to per-graph runs) and reports JSON.
 
-Graphs are built on the CSR fast path by default.  With ``--solver
-oracle`` the whole pipeline stays on flat arrays (no networkx object is
-constructed); the default ``minor-aggregation`` solver simulates the
-paper's distributed recursion, which crosses the networkx boundary once
-per run.  ``--backend networkx`` forces the legacy reference path; both
-backends return bit-identical results.
+Graphs are always built as :class:`~repro.graphs.CSRGraph`.  With
+``--solver oracle`` the whole pipeline stays on flat arrays (no networkx
+object is constructed); the default ``minor-aggregation`` solver
+simulates the paper's distributed recursion, which crosses the networkx
+boundary once per run.
 
-There is exactly **one** family table: the CSR-first builders in
-:data:`repro.graphs.CSR_FAMILY_BUILDERS`.  The networkx-returning
-``FAMILIES`` view below wraps each builder in ``to_networkx()``, so a
-family added to the CSR table is automatically available on both
-backends (and in both ``mincut`` and ``sweep``).
+There is exactly **one** family table, the CSR builders in
+:data:`repro.graphs.CSR_FAMILY_BUILDERS`, and one edge-list reader; a
+missing or malformed ``--edges`` file exits with a one-line message.
 """
 
 from __future__ import annotations
@@ -44,48 +41,20 @@ import json
 import sys
 import time
 
-import networkx as nx
-
 import repro
 from repro.core.registry import registered_solvers, solver_descriptions
 from repro.errors import ReproError
 from repro.graphs import CSR_FAMILY_BUILDERS, CSRGraph
-
-
-def _networkx_family(builder):
-    def build(n: int, seed: int) -> nx.Graph:
-        return builder(n, seed).to_networkx()
-
-    return build
-
-
-#: CSR-direct builders -- the single source of truth for CLI families.
-CSR_FAMILIES = CSR_FAMILY_BUILDERS
-
-#: networkx-returning view of the same families (legacy backend and
-#: external callers): identical weighted graphs, edge for edge.
-FAMILIES = {
-    name: _networkx_family(builder)
-    for name, builder in CSR_FAMILY_BUILDERS.items()
-}
-
-
-def read_edge_list(path: str) -> nx.Graph:
-    """Parse ``u v [weight]`` lines into a networkx graph; '#' comments.
-
-    Routed through the CSR reader so both backends enumerate edges in the
-    same canonical order -- which keeps ``--backend networkx`` runs
-    bit-identical to the CSR fast path on file inputs too.
-    """
-    return read_edge_list_csr(path).to_networkx()
+from repro.graphs.csr import as_csr
 
 
 def read_edge_list_csr(path: str) -> CSRGraph:
-    """Parse ``u v [weight]`` lines straight into a CSR graph.
+    """Parse ``u v [weight]`` lines (``#`` comments) into a CSR graph.
 
-    Node labels are the literal tokens (first-appearance order, matching
-    the networkx reader); repeated edges keep the last weight, like
-    repeated ``add_edge`` calls would.
+    Node labels are the literal tokens (first-appearance order); repeated
+    edges keep the last weight, like repeated ``add_edge`` calls would.
+    Raises ``OSError`` for an unreadable file and ``ValueError`` naming
+    the file and line for a malformed one.
     """
     return CSRGraph.from_edge_list(list(_parse_edge_lines(path)))
 
@@ -99,49 +68,50 @@ def _parse_edge_lines(path: str):
             parts = line.split()
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
-            weight = int(parts[2]) if len(parts) > 2 else 1
+            try:
+                weight = int(parts[2]) if len(parts) > 2 else 1
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: weight {parts[2]!r} is not an integer"
+                ) from None
             yield parts[0], parts[1], weight
 
 
 def write_edge_list(graph, out) -> None:
-    """Write ``u v weight`` lines (networkx or CSR input)."""
-    if isinstance(graph, CSRGraph):
-        labels = graph.node_labels()
-        weights = (
-            graph.edge_w.astype(int) if graph.int_weights else graph.edge_w
-        )
-        for a, b, w in zip(
-            graph.edge_u.tolist(), graph.edge_v.tolist(), weights.tolist()
-        ):
-            out.write(f"{labels[a]} {labels[b]} {w}\n")
-        return
-    for u, v, data in graph.edges(data=True):
-        out.write(f"{u} {v} {data.get('weight', 1)}\n")
+    """Write ``u v weight`` lines (CSR input; networkx is converted)."""
+    graph = as_csr(graph)
+    labels = graph.node_labels()
+    weights = graph.edge_w.astype(int) if graph.int_weights else graph.edge_w
+    for a, b, w in zip(
+        graph.edge_u.tolist(), graph.edge_v.tolist(), weights.tolist()
+    ):
+        out.write(f"{labels[a]} {labels[b]} {w}\n")
 
 
-def _family_builder(name: str, backend: str):
-    """Resolve a family name for a backend; unknown names list what exists.
+def _family_builder(name: str):
+    """Resolve a family name; unknown names list what exists.
 
     The same registry-style treatment unknown solvers get: the error
     enumerates every registered family instead of guessing.
     """
-    families = CSR_FAMILIES if backend == "csr" else FAMILIES
-    builder = families.get(name)
+    builder = CSR_FAMILY_BUILDERS.get(name)
     if builder is None:
-        known = ", ".join(sorted(families))
+        known = ", ".join(sorted(CSR_FAMILY_BUILDERS))
         raise SystemExit(f"unknown family {name!r}; registered families: {known}")
     return builder
 
 
-def _build_graph(args):
-    backend = getattr(args, "backend", "csr")
-    use_csr = backend == "csr"
-    if getattr(args, "edges", None):
+def _build_graph(args) -> CSRGraph:
+    if not getattr(args, "edges", None):
+        return _family_builder(args.family)(args.n, args.seed)
+    try:
         if args.edges.endswith(".npz"):
-            graph = CSRGraph.load_npz(args.edges)
-            return graph if use_csr else graph.to_networkx()
-        return (read_edge_list_csr if use_csr else read_edge_list)(args.edges)
-    return _family_builder(args.family, backend)(args.n, args.seed)
+            return CSRGraph.load_npz(args.edges)
+        return read_edge_list_csr(args.edges)
+    except OSError as error:
+        raise SystemExit(f"cannot read {args.edges}: {error.strerror or error}")
+    except ValueError as error:
+        raise SystemExit(str(error))
 
 
 def cmd_mincut(args) -> int:
@@ -174,8 +144,6 @@ def cmd_mincut(args) -> int:
                 print(f"  ! {failure}")
             return 1
     if args.verbose:
-        backend = "csr" if isinstance(graph, CSRGraph) else "networkx"
-        print(f"backend       : {backend}")
         print(f"solver        : {result.solver}")
         print(f"packed trees  : {len(result.packing.trees)} "
               f"(sampled={result.packing.sampled})")
@@ -193,7 +161,7 @@ def cmd_mincut(args) -> int:
 def cmd_sweep(args) -> int:
     """Run a family sweep through the batched many-graph entrypoint."""
     config = repro.SolverConfig.from_args(args)
-    builder = _family_builder(args.family, config.backend)
+    builder = _family_builder(args.family)
     seeds = list(range(args.seed, args.seed + args.count))
     graphs = [builder(args.n, seed) for seed in seeds]
     certify = getattr(args, "certify", False)
@@ -280,14 +248,12 @@ def cmd_profile(args) -> int:
 def cmd_generate(args) -> int:
     graph = _build_graph(args)
     if args.out and args.out.endswith(".npz"):
-        csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_networkx(graph)
-        csr.save_npz(args.out)
-        print(f"wrote {csr.n} nodes / {csr.m} edges to {args.out} (CSR)")
+        graph.save_npz(args.out)
+        print(f"wrote {graph.n} nodes / {graph.m} edges to {args.out} (CSR)")
     elif args.out:
         with open(args.out, "w") as handle:
             write_edge_list(graph, handle)
-        print(f"wrote {graph.number_of_nodes()} nodes / "
-              f"{graph.number_of_edges()} edges to {args.out}")
+        print(f"wrote {graph.n} nodes / {graph.m} edges to {args.out}")
     else:
         write_edge_list(graph, sys.stdout)
     return 0
@@ -423,11 +389,10 @@ def cmd_loadgen(args) -> int:
 def cmd_info(_args) -> int:
     print(f"repro {repro.__version__} -- Universally-Optimal Distributed "
           "Exact Min-Cut (Ghaffari & Zuzic, PODC 2022)")
-    print("families :", ", ".join(sorted(FAMILIES)))
+    print("families :", ", ".join(sorted(CSR_FAMILY_BUILDERS)))
     print("solvers  :")
     for name, description in solver_descriptions().items():
         print(f"  {name:<20} {description}")
-    print("backends : csr (flat-array fast path, default), networkx")
     print("see also : python -m repro.experiments  (paper-vs-measured report)")
     return 0
 
@@ -447,10 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default="gnm", help="built-in family")
         p.add_argument("--n", type=int, default=40, help="graph size")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--backend", default="csr", choices=["csr", "networkx"],
-            help="graph representation (csr = flat-array fast path)",
-        )
 
     def add_solver_args(p):
         p.add_argument(
@@ -557,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hard wall-clock budget per fused batch solve "
              "(default: armed only by request deadlines)",
     )
-    p_serve.set_defaults(func=cmd_serve, backend="csr", certify=False)
+    p_serve.set_defaults(func=cmd_serve, certify=False)
 
     p_loadgen = sub.add_parser(
         "loadgen",

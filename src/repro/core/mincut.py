@@ -22,31 +22,28 @@ is the historical one-shot spelling, kept as a thin wrapper over a
 default session -- bit-identical results (value, witness, partition, and
 round ledger) to the pre-session implementation.
 
-Two input types share the function:
-
-* a **networkx** graph runs the historical reference pipeline (kernel
-  paths behind the ``REPRO_TREE_KERNEL`` flag);
-* a :class:`~repro.graphs.csr.CSRGraph` runs the CSR-native hot path --
-  CSR packing, one shared array extraction, and (for the ``"oracle"``
-  solver) the batched stacked-kernel solve of all packed trees in one
-  numpy pass -- with **no networkx object constructed anywhere**.  Both
-  paths make identical decisions, so for the same underlying graph they
-  return bit-identical values, witnesses, and partitions.
+A networkx graph is converted once, at the session boundary
+(:meth:`~repro.graphs.csr.CSRGraph.from_networkx`, labels kept); every
+solve then runs the CSR-native pipeline -- CSR packing, one shared array
+extraction, and (for the ``"oracle"`` solver) the batched stacked-kernel
+solve of all packed trees in one numpy pass -- and maps the witness back
+onto the input's node labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.accounting import RoundAccountant
-from repro.core.cut_values import CutCandidate, partition_cut_weight
+from repro.core.cut_values import CutCandidate
 from repro.core.tree_packing import TreePacking
 from repro.graphs.csr import CSRGraph
 from repro.ma.simulation import CongestEstimates
 from repro.trees.rooted import Edge, edge_key
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 Node = Hashable
 
@@ -93,24 +90,6 @@ def _empty_packing(value: float) -> TreePacking:
     )
 
 
-def _two_node_cut(graph: nx.Graph) -> MinCutResult:
-    nodes = list(graph.nodes())
-    side = frozenset([nodes[0]])
-    value, crossing = partition_cut_weight(graph, side)
-    candidate = CutCandidate(value=value, edges=tuple(crossing[:1]))
-    return MinCutResult(
-        value=value,
-        partition=(side, frozenset([nodes[1]])),
-        cut_edges=crossing,
-        candidate=candidate,
-        best_tree_index=0,
-        packing=_empty_packing(value),
-        ma_rounds=0.0,
-        congest=None,
-        solver="trivial",
-    )
-
-
 def _two_node_cut_csr(graph: CSRGraph) -> MinCutResult:
     labels = graph.node_labels()
     off_diagonal = graph.edge_u != graph.edge_v
@@ -130,10 +109,6 @@ def _two_node_cut_csr(graph: CSRGraph) -> MinCutResult:
         congest=None,
         solver="trivial",
     )
-
-
-def _tree_nodes(tree) -> list:
-    return list(tree.nodes()) if hasattr(tree, "nodes") else list(tree.keys())
 
 
 def _relabel(candidate: CutCandidate, labels: list) -> CutCandidate:

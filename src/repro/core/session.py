@@ -8,8 +8,8 @@ compares.  This module is the redesigned public surface:
 
 * :class:`SolverConfig` -- one frozen value object for every knob that
   used to be scattered across keyword arguments and ``REPRO_*``
-  environment variables (solver name, graph backend, tree count, kernel
-  on/off, batched-solve scratch budget, CONGEST estimates on/off).
+  environment variables (solver name, tree count, MA engine, batched-solve
+  scratch budget, CONGEST estimates on/off, tracing).
 * :class:`MinCutSolver` -- a reusable session bound to a config.
   ``solve(graph)`` runs the full pipeline; ``pack(graph)`` returns a
   :class:`GraphPacking` handle whose Theorem 12 packing can be solved
@@ -33,6 +33,12 @@ compares.  This module is the redesigned public surface:
 ``minimum_cut()`` survives as a thin wrapper over a default session and
 stays bit-identical -- value, witness, partition, *and* round ledger --
 to its historical behaviour.
+
+There is one pipeline.  networkx input crosses into it exactly once, at
+the boundary (``pack`` / ``minimum_cut_many``), via
+:meth:`CSRGraph.from_networkx`, which keeps the node labels; every stage
+then runs on the CSR graph's dense indices, and results map the witness
+back onto the labels.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,32 +56,28 @@ from repro.accounting import RoundAccountant
 from repro.core.cut_values import (
     CutCandidate,
     cut_partition,
-    partition_cut_weight,
     two_respecting_oracle,
 )
 from repro.core.mincut import (
     MinCutResult,
     _empty_packing,
     _relabel,
-    _tree_nodes,
-    _two_node_cut,
     _two_node_cut_csr,
 )
 from repro.core.registry import SolverEntry, get_solver, register_solver
 from repro.core.tree_packing import pack_trees, pack_trees_many
-from repro.errors import BudgetExceeded, GraphValidationError, PackingError
-from repro.graphs.csr import CSRGraph
+from repro.errors import (
+    BudgetExceeded,
+    CertificationError,
+    GraphValidationError,
+    PackingError,
+)
+from repro.graphs.csr import CSRGraph, as_csr
 from repro.kernel.batched import (
     OracleJob,
     batched_two_respecting_oracle,
     batched_two_respecting_oracle_many,
     candidate_from_flat,
-)
-from repro.kernel.config import (
-    kernel_enabled,
-    parse_kernel_flag,
-    use_kernel,
-    use_legacy,
 )
 from repro.kernel.cut_kernel import GraphArrays, partition_cut_weight_arrays
 from repro.kernel.forest import stacked_tree_arrays
@@ -93,7 +95,6 @@ __all__ = [
     "minimum_cut_many",
 ]
 
-_BACKENDS = ("csr", "networkx")
 _MA_BACKENDS = ("compiled", "closure")
 
 
@@ -106,23 +107,13 @@ class SolverConfig:
     solver:
         Registry name of the solver ``solve()`` dispatches to; see
         :func:`~repro.core.registry.registered_solvers`.
-    backend:
-        Graph representation the CLI / builders construct: ``"csr"``
-        (flat-array fast path) or ``"networkx"`` (legacy reference).
-        Both produce bit-identical results; the solve path itself
-        accepts either graph type regardless of this setting.
     num_trees:
         Override for the Theorem 12 packing size (default Θ(log n)).
-    tree_kernel:
-        Tri-state kernel switch: ``None`` inherits the ambient
-        ``REPRO_TREE_KERNEL`` setting, ``True``/``False`` pin the
-        array-kernel / legacy paths for this session's solves.
     ma_backend:
-        Minor-Aggregation engine backend for CSR packings: ``None``
-        inherits ``REPRO_MA_BACKEND`` (default ``"compiled"``, the
-        array-op engine), ``"closure"`` pins the per-edge closure
-        reference.  Both produce bit-identical packings and ledgers;
-        networkx inputs always run the closure engine.
+        Minor-Aggregation engine for tree packing: ``None`` inherits
+        ``REPRO_MA_BACKEND`` (default ``"compiled"``, the array-op
+        engine), ``"closure"`` pins the per-edge closure reference.
+        Both produce bit-identical packings and ledgers.
     batch_bytes:
         Scratch budget for the stacked-tensor batched oracle;
         ``None`` inherits ``REPRO_BATCH_BYTES`` (default 256 MiB).
@@ -141,19 +132,13 @@ class SolverConfig:
     """
 
     solver: str = "minor-aggregation"
-    backend: str = "csr"
     num_trees: int | None = None
-    tree_kernel: bool | None = None
     ma_backend: str | None = None
     batch_bytes: int | None = None
     compute_congest: bool = True
     trace: bool | None = None
 
     def __post_init__(self):
-        if self.backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {_BACKENDS}"
-            )
         if self.ma_backend is not None and self.ma_backend not in _MA_BACKENDS:
             raise ValueError(
                 f"unknown ma_backend {self.ma_backend!r}; choose from "
@@ -173,16 +158,13 @@ class SolverConfig:
     ) -> "SolverConfig":
         """Capture the ``REPRO_*`` environment knobs into an explicit config.
 
-        ``REPRO_TREE_KERNEL``, ``REPRO_MA_BACKEND``, ``REPRO_BATCH_BYTES``,
-        and ``REPRO_TRACE`` become ``tree_kernel`` / ``ma_backend`` /
-        ``batch_bytes`` / ``trace`` (absent or unparsable values stay
-        ``None`` = inherit at run time); keyword overrides win.
+        ``REPRO_MA_BACKEND``, ``REPRO_BATCH_BYTES``, and ``REPRO_TRACE``
+        become ``ma_backend`` / ``batch_bytes`` / ``trace`` (absent or
+        unparsable values stay ``None`` = inherit at run time); keyword
+        overrides win.
         """
         env = os.environ if env is None else env
         fields: dict = {}
-        raw = env.get("REPRO_TREE_KERNEL")
-        if raw is not None:
-            fields["tree_kernel"] = parse_kernel_flag(raw)
         raw = env.get("REPRO_MA_BACKEND")
         if raw is not None and raw.strip().lower() in _MA_BACKENDS:
             fields["ma_backend"] = raw.strip().lower()
@@ -203,15 +185,11 @@ class SolverConfig:
         """Build a config from CLI-style arguments (argparse namespace).
 
         Starts from :meth:`from_env` so environment knobs flow through
-        CLI runs, then applies ``--solver`` / ``--backend`` / ``--trees``
-        (and ``--no-congest`` where the subcommand defines it).
+        CLI runs, then applies ``--solver`` / ``--trees`` (and
+        ``--no-congest`` where the subcommand defines it).
         """
         overrides: dict = {}
-        for field, attr in (
-            ("solver", "solver"),
-            ("backend", "backend"),
-            ("num_trees", "trees"),
-        ):
+        for field, attr in (("solver", "solver"), ("num_trees", "trees")):
             value = getattr(args, attr, None)
             if value is not None:
                 overrides[field] = value
@@ -226,11 +204,6 @@ class SolverConfig:
     def as_dict(self) -> dict:
         """Plain-dict view (JSON-friendly; the CLI ``sweep`` emits it)."""
         return dataclasses.asdict(self)
-
-    def _kernel_scope(self):
-        if self.tree_kernel is None:
-            return nullcontext()
-        return use_kernel() if self.tree_kernel else use_legacy()
 
     def _trace_scope(self):
         if self.trace is None:
@@ -257,15 +230,13 @@ class GraphPacking:
     def __init__(
         self,
         config: SolverConfig,
-        graph,
-        csr: CSRGraph | None,
+        csr: CSRGraph,
         seed: int,
         num_trees: int | None,
         accountant: RoundAccountant | None,
         trivial: MinCutResult | None = None,
     ):
         self.config = config
-        self.graph = graph
         self.csr = csr
         self.seed = seed
         self.num_trees = num_trees
@@ -289,12 +260,12 @@ class GraphPacking:
             acct = self._origin_acct or RoundAccountant()
             self._origin_acct = acct
             before = acct.by_label()
-            with self.config._kernel_scope(), self.config._trace_scope():
+            with self.config._trace_scope():
                 with obs_trace.span(
                     "session.pack", seed=self.seed, acct_prefix="packing:"
                 ):
                     self._packing = pack_trees(
-                        self.graph,
+                        self.csr,
                         seed=self.seed,
                         num_trees=self.num_trees,
                         accountant=acct,
@@ -316,42 +287,22 @@ class GraphPacking:
         if self._arrays is None:
             self.packing  # noqa: B018 -- packing errors surface first
             with obs_trace.span("session.arrays") as sp:
-                if self.csr is not None:
-                    self._arrays = GraphArrays.from_csr(self.csr)
-                else:
-                    self._arrays = GraphArrays.from_graph(self.graph)
+                self._arrays = GraphArrays.from_csr(self.csr)
                 sp.set(bytes=self._arrays.nbytes)
         return self._arrays
 
     @property
-    def root(self):
-        """The per-tree root: label-space minimum for labelled CSR
-        graphs, the stable-minimum node otherwise (``None`` defers to
-        each tree's own minimum, which for index trees is node 0)."""
-        if self.csr is not None and self.csr.nodes is not None:
-            labels = self.csr.nodes
-            return min(
-                range(self.csr.n),
-                key=lambda i: (type(labels[i]).__name__, str(labels[i])),
-            )
-        return None
+    def root(self) -> int:
+        """The per-tree root index: the node whose label is the stable
+        minimum (index 0 for identity-labelled graphs)."""
+        return _root_index(self.csr)
 
     @property
     def rooted_trees(self) -> list[RootedTree]:
         """Every packed tree rooted at the session root."""
         if self._rooted is None:
-            fixed_root = self.root
-            rooted: list[RootedTree] = []
-            for tree in self.packing.trees:
-                if fixed_root is None:
-                    root = min(
-                        _tree_nodes(tree),
-                        key=lambda v: (type(v).__name__, str(v)),
-                    )
-                else:
-                    root = fixed_root
-                rooted.append(RootedTree(tree, root))
-            self._rooted = rooted
+            root = self.root
+            self._rooted = [RootedTree(tree, root) for tree in self.packing.trees]
         return self._rooted
 
     # ------------------------------------------------------------------
@@ -373,20 +324,6 @@ class GraphPacking:
             return self._trivial
         name = solver if solver is not None else self.config.solver
         entry = get_solver(name)
-        if entry.label_space and self.csr is not None and self.csr.nodes is not None:
-            # Label-space solvers (the Minor-Aggregation recursion) break
-            # ties in node-label space; labelled CSR graphs cross the
-            # networkx boundary wholesale so both backends stay
-            # bit-identical.  Identity-labelled CSR keeps the fast path.
-            config = self.config.replace(solver=name)
-            if compute_congest is not None:
-                config = config.replace(compute_congest=compute_congest)
-            return MinCutSolver(config).solve(
-                self.csr.to_networkx(),
-                seed=self.seed,
-                num_trees=self.num_trees,
-                accountant=accountant,
-            )
         with self.config._trace_scope():
             # Mark before the accountant setup: it triggers the lazy
             # packing, whose spans belong in this solve's profile.
@@ -401,14 +338,11 @@ class GraphPacking:
                 solver=name,
             )
             if position is None:
-                with self.config._kernel_scope():
-                    return entry.fn(self, ctx)
-            n = self.csr.n if self.csr is not None else None
+                return entry.fn(self, ctx)
             with obs_trace.span(
-                "session.solve", solver=name, seed=self.seed, n=n
+                "session.solve", solver=name, seed=self.seed, n=self.csr.n
             ) as root:
-                with self.config._kernel_scope():
-                    result = entry.fn(self, ctx)
+                result = entry.fn(self, ctx)
             # Everything this thread recorded during the solve (the pack
             # subtree is a sibling of the root span, not a child).
             spans = [
@@ -448,7 +382,6 @@ class GraphPacking:
     ) -> MinCutResult:
         """Select the best per-tree candidate and materialise the witness."""
         return _finalize_candidates(
-            graph=self.graph,
             csr=self.csr,
             arrays=self.arrays,
             packing=self.packing,
@@ -460,41 +393,24 @@ class GraphPacking:
             solve_stats=solve_stats,
         )
 
-    def finalize_partition(
-        self, side: frozenset, ctx: "SolveContext", in_label_space: bool = False
-    ) -> MinCutResult:
+    def finalize_partition(self, side: frozenset, ctx: "SolveContext") -> MinCutResult:
         """Wrap a node bipartition (a packing-free solver's output).
 
-        ``side`` is one side of the cut -- in CSR index space unless
-        ``in_label_space`` says the solver worked on labelled nodes.
-        The value and crossing edges are recomputed from the partition,
-        so the reported cut is consistent by construction.
+        ``side`` is one side of the cut, in CSR index space.  The value
+        and crossing edges are recomputed from the partition, so the
+        reported cut is consistent by construction.
 
         ``congest`` is always ``None`` here, regardless of
         ``compute_congest``: the Theorem 17 estimates compile a
         Minor-Aggregation round count down to CONGEST, and a centralized
         baseline executes no Minor-Aggregation rounds to compile.
         """
-        if self.csr is not None:
-            if in_label_space and self.csr.nodes is not None:
-                index_of = {
-                    label: i for i, label in enumerate(self.csr.nodes)
-                }
-                side = frozenset(index_of[label] for label in side)
-            arrays = self._arrays or GraphArrays.from_csr(self.csr)
-            self._arrays = arrays
-            value, crossing = partition_cut_weight_arrays(arrays, side)
-            universe: Iterable = range(self.csr.n)
-        else:
-            arrays = self._arrays or GraphArrays.from_graph(self.graph)
-            self._arrays = arrays
-            value, crossing = partition_cut_weight(
-                self.graph, side, arrays=arrays
-            )
-            universe = self.graph.nodes()
-        other = frozenset(set(universe) - side)
+        if self._arrays is None:
+            self._arrays = GraphArrays.from_csr(self.csr)
+        value, crossing = partition_cut_weight_arrays(self._arrays, side)
+        other = frozenset(range(self.csr.n)) - side
         candidate = CutCandidate(value=value, edges=())
-        if self.csr is not None and self.csr.nodes is not None:
+        if self.csr.nodes is not None:
             labels = self.csr.nodes
             side = frozenset(labels[i] for i in side)
             other = frozenset(labels[i] for i in other)
@@ -545,11 +461,15 @@ class MinCutSolver:
         num_trees: int | None = None,
         accountant: RoundAccountant | None = None,
     ) -> GraphPacking:
-        """Validate ``graph`` and return the (lazily packed) session handle."""
-        csr, trivial = _validate_graph(graph)
+        """Validate ``graph`` and return the (lazily packed) session handle.
+
+        networkx input is converted to CSR here, once; bad weights raise
+        :class:`~repro.errors.GraphValidationError`.
+        """
+        csr = as_csr(graph)
+        trivial = _validate_graph(csr)
         return GraphPacking(
             config=self.config,
-            graph=graph,
             csr=csr,
             seed=seed,
             num_trees=num_trees if num_trees is not None else self.config.num_trees,
@@ -585,43 +505,40 @@ class MinCutSolver:
         return minimum_cut_many(graphs, config=self.config, seeds=seeds)
 
 
-def _validate_graph(graph) -> tuple[CSRGraph | None, MinCutResult | None]:
-    """Shared input validation; returns (csr_or_None, trivial_result).
+def _root_index(csr: CSRGraph) -> int:
+    """Index of the node with the stable-minimum label (0 for identity)."""
+    if csr.nodes is None:
+        return 0
+    labels = csr.nodes
+    return min(
+        range(csr.n), key=lambda i: (type(labels[i]).__name__, str(labels[i]))
+    )
 
-    One path for both graph types: the CSR and networkx branches used to
-    duplicate these checks with bare ``ValueError``\\ s; now every caller
-    (``pack``, ``minimum_cut_many``, the fused oracle sweep) raises the
-    same :class:`~repro.errors.GraphValidationError` with the numbers a
-    user needs to act on (node count, component count).
+
+def _validate_graph(csr: CSRGraph) -> MinCutResult | None:
+    """Shared input validation; returns the trivial result for n = 2.
+
+    Every caller (``pack``, ``minimum_cut_many``, the fused oracle sweep)
+    raises the same :class:`~repro.errors.GraphValidationError` with the
+    numbers a user needs to act on (node count, component count).
     """
-    csr = graph if isinstance(graph, CSRGraph) else None
-    n = csr.n if csr is not None else graph.number_of_nodes()
+    n = csr.n
     if n < 2:
         raise GraphValidationError(
             f"minimum cut needs at least two nodes, got a graph with {n}"
         )
-    if csr is not None:
-        components = len(np.unique(csr.connected_components()))
-    else:
-        import networkx as nx
-
-        components = nx.number_connected_components(graph)
+    components = len(np.unique(csr.connected_components()))
     if components != 1:
         raise GraphValidationError(
             f"graph must be connected: {n} nodes form {components} "
             "connected components (every cut of a disconnected graph is "
             "trivially 0; solve each component separately)"
         )
-    if n == 2:
-        return csr, (
-            _two_node_cut_csr(csr) if csr is not None else _two_node_cut(graph)
-        )
-    return csr, None
+    return _two_node_cut_csr(csr) if n == 2 else None
 
 
 def _finalize_candidates(
-    graph,
-    csr: CSRGraph | None,
+    csr: CSRGraph,
     arrays: GraphArrays,
     packing,
     rooted_for,
@@ -635,14 +552,13 @@ def _finalize_candidates(
         "session.finalize", solver=solver_name, trees=len(candidates)
     ):
         return _finalize_candidates_inner(
-            graph, csr, arrays, packing, rooted_for, candidates, acct,
+            csr, arrays, packing, rooted_for, candidates, acct,
             compute_congest, solver_name, solve_stats,
         )
 
 
 def _finalize_candidates_inner(
-    graph,
-    csr: CSRGraph | None,
+    csr: CSRGraph,
     arrays: GraphArrays,
     packing,
     rooted_for,
@@ -661,29 +577,24 @@ def _finalize_candidates_inner(
     assert best is not None
     best_rooted = rooted_for(best_index)
     side = cut_partition(best_rooted, best.edges)
-    if csr is not None:
-        value, crossing = partition_cut_weight_arrays(arrays, side)
-    else:
-        value, crossing = partition_cut_weight(graph, side, arrays=arrays)
+    value, crossing = partition_cut_weight_arrays(arrays, side)
     # Relative tolerance: candidate values come from prefix-sum/matrix
     # accumulation whose float error scales with total graph weight, while
     # the partition weight sums only the crossing edges.
-    if abs(value - best.value) > 1e-6 * max(1.0, abs(value)):
-        raise AssertionError(
-            f"cut witness inconsistent: candidate {best.value}, partition {value}"
+    tolerance = 1e-6 * max(1.0, abs(value))
+    if abs(value - best.value) > tolerance:
+        raise CertificationError(
+            f"cut witness inconsistent: candidate {best.value}, partition "
+            f"{value} (tolerance {tolerance:g})",
+            candidate_value=best.value,
+            partition_value=value,
+            tolerance=tolerance,
         )
-    if csr is not None:
-        universe: Iterable = range(csr.n)
-    else:
-        universe = graph.nodes()
-    other = frozenset(set(universe) - side)
+    other = frozenset(range(csr.n)) - side
 
     congest = None
     if compute_congest:
-        if csr is not None:
-            congest = congest_estimates(acct.total, n=csr.n, diameter=csr.diameter())
-        else:
-            congest = congest_estimates(acct.total, graph=graph)
+        congest = congest_estimates(acct.total, n=csr.n, diameter=csr.diameter())
 
     stats: dict = {"accountant": acct.snapshot(), "trees": len(packing.trees)}
     if solve_stats is not None:
@@ -693,7 +604,7 @@ def _finalize_candidates_inner(
             "max_virtual_nodes": solve_stats.max_virtual_nodes,
         }
 
-    if csr is not None and csr.nodes is not None:
+    if csr.nodes is not None:
         # Map the index-space witness back onto the graph's labels.
         labels = csr.nodes
         side = frozenset(labels[i] for i in side)
@@ -720,19 +631,19 @@ def _finalize_candidates_inner(
 # ----------------------------------------------------------------------
 @register_solver(
     "minor-aggregation",
-    label_space=True,
     description="the paper's 2-respecting recursion with full round accounting",
 )
 def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     from repro.core.general import two_respecting_min_cut
 
     # The Minor-Aggregation solver simulates the paper's distributed
-    # recursion, which lives on a networkx topology; identity-labelled
-    # CSR inputs cross that boundary once, in index space (labelled CSR
-    # graphs were delegated wholesale by GraphPacking.solve).
-    base_graph = (
-        packed.csr.to_networkx() if packed.csr is not None else packed.graph
-    )
+    # recursion, which lives on a networkx topology; every input crosses
+    # that boundary once, in index space, so the recursion's tie-breaks
+    # (and hence its round ledger) never depend on label hashing.
+    csr = packed.csr
+    base_graph = CSRGraph(
+        csr.n, csr.edge_u, csr.edge_v, csr.edge_w, meta=csr.meta, canonical=True
+    ).to_networkx()
     arrays = packed.arrays
     acct = ctx.accountant
     candidates: list[CutCandidate] = []
@@ -759,42 +670,33 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
     description="centralized 2-respecting brute force, batched over stacked kernels",
 )
 def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
-    use_kernel_path = packed.csr is not None or kernel_enabled()
     degraded = None
-    if use_kernel_path:
-        started = time.perf_counter()
-        try:
-            # All Θ(log n) per-tree solves batched over stacked kernel arrays.
-            candidates = batched_two_respecting_oracle(
-                packed.arrays,
-                packed.rooted_trees,
-                batch_bytes=packed.config.batch_bytes,
-            )
-        except (BudgetExceeded, MemoryError) as exc:
-            # Automatic degradation: the stacked tensor does not fit the
-            # scratch budget (or the allocator), so give up on batching
-            # and solve tree by tree -- same candidates, just slower.
-            failed_phase = obs_trace.last_error_span() or "oracle.batched"
-            obs_metrics.counter("session.degraded").inc()
-            with obs_trace.span("oracle.per_tree_fallback", reason=str(exc)):
-                candidates = [
-                    two_respecting_oracle(
-                        packed.graph, rooted, arrays=packed.arrays
-                    )
-                    for rooted in packed.rooted_trees
-                ]
-            degraded = {
-                "from": "batched-oracle",
-                "to": "per-tree-oracle",
-                "reason": f"{type(exc).__name__}: {exc}",
-                "phase": failed_phase,
-                "seconds": time.perf_counter() - started,
-            }
-    else:
-        candidates = [
-            two_respecting_oracle(packed.graph, rooted, arrays=packed.arrays)
-            for rooted in packed.rooted_trees
-        ]
+    started = time.perf_counter()
+    try:
+        # All Θ(log n) per-tree solves batched over stacked kernel arrays.
+        candidates = batched_two_respecting_oracle(
+            packed.arrays,
+            packed.rooted_trees,
+            batch_bytes=packed.config.batch_bytes,
+        )
+    except (BudgetExceeded, MemoryError) as exc:
+        # Automatic degradation: the stacked tensor does not fit the
+        # scratch budget (or the allocator), so give up on batching and
+        # solve tree by tree -- same candidates, just slower.
+        failed_phase = obs_trace.last_error_span() or "oracle.batched"
+        obs_metrics.counter("session.degraded").inc()
+        with obs_trace.span("oracle.per_tree_fallback", reason=str(exc)):
+            candidates = [
+                two_respecting_oracle(packed.csr, rooted, arrays=packed.arrays)
+                for rooted in packed.rooted_trees
+            ]
+        degraded = {
+            "from": "batched-oracle",
+            "to": "per-tree-oracle",
+            "reason": f"{type(exc).__name__}: {exc}",
+            "phase": failed_phase,
+            "seconds": time.perf_counter() - started,
+        }
     result = packed.finalize(candidates, ctx)
     if degraded is not None:
         result.stats["degraded"] = degraded
@@ -809,11 +711,9 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
 def _solve_stoer_wagner(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     from repro.baselines.stoer_wagner import stoer_wagner_min_cut
 
-    _value, (side, _other) = stoer_wagner_min_cut(
-        packed.csr if packed.csr is not None else packed.graph
-    )
-    # The CSR variant works in index space even on labelled graphs.
-    return packed.finalize_partition(side, ctx, in_label_space=False)
+    # Stoer-Wagner on a CSR graph works in index space, labelled or not.
+    _value, (side, _other) = stoer_wagner_min_cut(packed.csr)
+    return packed.finalize_partition(side, ctx)
 
 
 @register_solver(
@@ -824,11 +724,11 @@ def _solve_stoer_wagner(packed: GraphPacking, ctx: SolveContext) -> MinCutResult
 def _solve_karger(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
     from repro.baselines.karger import karger_min_cut
 
-    graph = packed.csr.to_networkx() if packed.csr is not None else packed.graph
-    _value, (side, _other) = karger_min_cut(graph, seed=packed.seed)
-    return packed.finalize_partition(
-        side, ctx, in_label_space=packed.csr is not None
-    )
+    # Contraction draws follow label order, so it runs on the labelled
+    # view and its side is mapped back to indices.
+    csr = packed.csr
+    _value, (side, _other) = karger_min_cut(csr.to_networkx(), seed=packed.seed)
+    return packed.finalize_partition(frozenset(map(csr.index_of, side)), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -857,9 +757,10 @@ class SweepFailure:
     #: innermost trace span active when the error surfaced (requires
     #: tracing; falls back to the sweep stage name when disabled).
     phase: "str | None" = None
-    #: :meth:`CSRGraph.canonical_hash` of the originating graph (``None``
-    #: for non-CSR inputs), so batchers can re-associate failures with
-    #: their requests without positional bookkeeping.
+    #: :meth:`CSRGraph.canonical_hash` of the originating graph's CSR form
+    #: (``None`` only when the input could not be converted), so batchers
+    #: can re-associate failures with their requests without positional
+    #: bookkeeping.
     graph_hash: "str | None" = None
 
     ok: bool = False
@@ -907,13 +808,14 @@ def minimum_cut_many(
     """Exact min-cut of every graph, amortizing the pipeline across a sweep.
 
     Bit-identical (value, witness, partition, round ledger) to calling
-    ``minimum_cut(graph, seed, ...)`` per graph, but for CSR graphs under
-    the ``oracle`` solver the whole sweep shares one batched tree
-    packing, one stacked BFS/Euler kernel build, and one chunked
-    stacked-tensor oracle pass -- the per-graph numpy call overhead that
-    dominates small instances is paid once per sweep instead of once per
-    graph.  Other solvers / graph types transparently fall back to the
-    per-graph session path.
+    ``minimum_cut(graph, seed, ...)`` per graph, but under the ``oracle``
+    solver the whole sweep shares one batched tree packing, one stacked
+    BFS/Euler kernel build, and one chunked stacked-tensor oracle pass --
+    the per-graph numpy call overhead that dominates small instances is
+    paid once per sweep instead of once per graph.  Other solvers
+    transparently fall back to the per-graph session path.  networkx
+    inputs are converted to CSR in the validation stage, so a graph with
+    bad weights becomes a ``stage="validate"`` failure.
 
     ``seeds`` is one packing seed for all graphs or a per-graph sequence.
 
@@ -986,20 +888,20 @@ def _sweep_impl(
     strict: bool,
     certify: bool,
 ) -> "list[MinCutResult | SweepFailure]":
-    # Canonical content hash per graph (CSR inputs only) -- every result
-    # and failure row carries it (``stats["sweep"]`` / ``graph_hash``) so
+    # Canonical content hash per graph's CSR form -- every result and
+    # failure row carries it (``stats["sweep"]`` / ``graph_hash``) so
     # fan-out layers like the serve batcher re-associate by identity, not
     # by position.
-    hashes: "list[str | None]" = [
-        graph.canonical_hash() if isinstance(graph, CSRGraph) else None
-        for graph in graphs
-    ]
+    hashes: "list[str | None]" = [None] * len(graphs)
+    csrs: "list[CSRGraph | None]" = [None] * len(graphs)
     results: "list[MinCutResult | SweepFailure | None]" = [None] * len(graphs)
     valid: list[int] = []
     with obs_trace.span("sweep.validate", graphs=len(graphs)):
         for index, graph in enumerate(graphs):
             try:
-                _validate_graph(graph)
+                csrs[index] = as_csr(graph)
+                hashes[index] = csrs[index].canonical_hash()
+                _validate_graph(csrs[index])
             except Exception as exc:
                 if strict:
                     raise
@@ -1010,13 +912,7 @@ def _sweep_impl(
                 valid.append(index)
 
     batched = [
-        index
-        for index in valid
-        if (
-            cfg.solver == "oracle"
-            and isinstance(graphs[index], CSRGraph)
-            and graphs[index].n > 2
-        )
+        index for index in valid if cfg.solver == "oracle" and csrs[index].n > 2
     ]
     session = MinCutSolver(cfg)
     batched_set = set(batched)
@@ -1024,7 +920,7 @@ def _sweep_impl(
     def solve_one(index: int, degraded: "dict | None" = None):
         started = time.perf_counter()
         try:
-            result = session.solve(graphs[index], seed=seed_list[index])
+            result = session.solve(csrs[index], seed=seed_list[index])
         except Exception as exc:
             if strict:
                 raise
@@ -1043,7 +939,7 @@ def _sweep_impl(
         started = time.perf_counter()
         try:
             sweep = _solve_many_oracle(
-                [graphs[i] for i in batched],
+                [csrs[i] for i in batched],
                 [seed_list[i] for i in batched],
                 cfg,
             )
@@ -1071,7 +967,7 @@ def _sweep_impl(
             if not isinstance(result, MinCutResult):
                 continue
             started = time.perf_counter()
-            certificate = certify_result(graphs[index], result)
+            certificate = certify_result(csrs[index], result)
             result.stats["certificate"] = certificate.as_dict()
             if not certificate.ok:
                 if strict:
@@ -1104,89 +1000,76 @@ def _solve_many_oracle(
     graphs: "list[CSRGraph]", seeds: "list[int]", cfg: SolverConfig
 ) -> list[MinCutResult]:
     """The fused CSR/oracle sweep: batch every stage across graphs."""
-    with cfg._kernel_scope():
-        for graph in graphs:
-            if not graph.is_connected():
-                components = len(np.unique(graph.connected_components()))
-                raise GraphValidationError(
-                    f"graph must be connected: {graph.n} nodes form "
-                    f"{components} connected components"
-                )
-
-        with obs_trace.span(
-            "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
-        ):
-            many = pack_trees_many(
-                graphs, seeds, num_trees=cfg.num_trees,
-                ma_backend=cfg.ma_backend,
+    for graph in graphs:
+        if not graph.is_connected():
+            components = len(np.unique(graph.connected_components()))
+            raise GraphValidationError(
+                f"graph must be connected: {graph.n} nodes form "
+                f"{components} connected components"
             )
 
-        # Stage 2: stacked BFS/Euler arrays -- all trees of all graphs
-        # with a common node count share one level-synchronous build.
-        roots = []
-        for graph in graphs:
-            if graph.nodes is not None:
-                labels = graph.nodes
-                roots.append(
-                    min(
-                        range(graph.n),
-                        key=lambda i: (type(labels[i]).__name__, str(labels[i])),
-                    )
-                )
-            else:
-                roots.append(0)
-        with obs_trace.span("sweep.stacks", graphs=len(graphs)):
-            stacks = _build_stacks(graphs, many.tree_edge_arrays, roots)
+    with obs_trace.span(
+        "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
+    ):
+        many = pack_trees_many(
+            graphs, seeds, num_trees=cfg.num_trees,
+            ma_backend=cfg.ma_backend,
+        )
 
-        # Stage 3: one chunked stacked-tensor oracle pass over the sweep.
-        arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
-        jobs = [
-            OracleJob.from_arrays(
-                arrays_list[g], stacks[g].tin, stacks[g].tout, stacks[g].pos
+    # Stage 2: stacked BFS/Euler arrays -- all trees of all graphs
+    # with a common node count share one level-synchronous build.
+    roots = [_root_index(graph) for graph in graphs]
+    with obs_trace.span("sweep.stacks", graphs=len(graphs)):
+        stacks = _build_stacks(graphs, many.tree_edge_arrays, roots)
+
+    # Stage 3: one chunked stacked-tensor oracle pass over the sweep.
+    arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
+    jobs = [
+        OracleJob.from_arrays(
+            arrays_list[g], stacks[g].tin, stacks[g].tout, stacks[g].pos
+        )
+        for g in range(len(graphs))
+    ]
+    with obs_trace.span("sweep.oracle", graphs=len(graphs)):
+        solved = batched_two_respecting_oracle_many(
+            jobs, batch_bytes=cfg.batch_bytes
+        )
+
+    # Stage 4: per-graph candidate decode + witness extraction.
+    results = []
+    for g, graph in enumerate(graphs):
+        stack = stacks[g]
+        values, flats = solved[g]
+        candidates = [
+            candidate_from_flat(
+                values[t], flats[t], graph.n,
+                lambda i, t=t: stack.edge_at(t, i),
+                CutCandidate,
             )
-            for g in range(len(graphs))
+            for t in range(len(values))
         ]
-        with obs_trace.span("sweep.oracle", graphs=len(graphs)):
-            solved = batched_two_respecting_oracle_many(
-                jobs, batch_bytes=cfg.batch_bytes
+        packing = many.packings[g]
+        acct = many.accountants[g]
+        rooted_cache: dict[int, RootedTree] = {}
+
+        def rooted_for(index, packing=packing, root=roots[g], cache=rooted_cache):
+            if index not in cache:
+                cache[index] = RootedTree(packing.trees[index], root)
+            return cache[index]
+
+        results.append(
+            _finalize_candidates(
+                csr=graph,
+                arrays=arrays_list[g],
+                packing=packing,
+                rooted_for=rooted_for,
+                candidates=candidates,
+                acct=acct,
+                compute_congest=cfg.compute_congest,
+                solver_name="oracle",
             )
-
-        # Stage 4: per-graph candidate decode + witness extraction.
-        results = []
-        for g, graph in enumerate(graphs):
-            stack = stacks[g]
-            values, flats = solved[g]
-            candidates = [
-                candidate_from_flat(
-                    values[t], flats[t], graph.n,
-                    lambda i, t=t: stack.edge_at(t, i),
-                    CutCandidate,
-                )
-                for t in range(len(values))
-            ]
-            packing = many.packings[g]
-            acct = many.accountants[g]
-            rooted_cache: dict[int, RootedTree] = {}
-
-            def rooted_for(index, packing=packing, root=roots[g], cache=rooted_cache):
-                if index not in cache:
-                    cache[index] = RootedTree(packing.trees[index], root)
-                return cache[index]
-
-            results.append(
-                _finalize_candidates(
-                    graph=graph,
-                    csr=graph,
-                    arrays=arrays_list[g],
-                    packing=packing,
-                    rooted_for=rooted_for,
-                    candidates=candidates,
-                    acct=acct,
-                    compute_congest=cfg.compute_congest,
-                    solver_name="oracle",
-                )
-            )
-        return results
+        )
+    return results
 
 
 def _build_stacks(graphs, tree_edge_arrays, roots):

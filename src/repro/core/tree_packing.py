@@ -17,21 +17,17 @@ approximation of the min-cut value; the paper uses the Õ(1)-round
 (1+eps)-approximation of [GH16], we use our own Stoer-Wagner's exact value
 -- only the sampling probability depends on it.
 
-Two execution paths share every decision:
-
-* **networkx** input runs the engine-genuine Boruvka (one Minor-Aggregation
-  round per phase);
-* **CSR** input (:class:`~repro.graphs.csr.CSRGraph`) drives the engine
-  selected by ``ma_backend`` (``REPRO_MA_BACKEND``): the default
-  *compiled* engine lowers the whole Boruvka contraction sequence to
-  array passes -- per phase one component labelling, one masked
-  ``minimum.at`` scatter, zero networkx objects -- with the *same*
-  deterministic tie-break (``(cost, str(edge))``), the same sampling
-  draws (one binomial over the canonical edge order), and the same round
-  charges as the *closure* reference engine, so both backends (and both
-  graph representations) pack identical trees for identical graphs.
-  CSR trees are returned as plain adjacency mappings (what
-  :class:`~repro.trees.rooted.RootedTree` consumes directly).
+Packing runs on a :class:`~repro.graphs.csr.CSRGraph` (networkx input is
+converted once, at the session boundary) and drives the engine selected
+by ``ma_backend`` (``REPRO_MA_BACKEND``): the default *compiled* engine
+lowers the whole Boruvka contraction sequence to array passes -- per
+phase one component labelling, one masked ``minimum.at`` scatter, zero
+networkx objects -- with the *same* deterministic tie-break
+(``(cost, str(edge))``), the same sampling draws (one binomial over the
+canonical edge order), and the same round charges as the *closure*
+reference engine, so both engines pack identical trees.  Trees are
+returned as plain index-space adjacency mappings (what
+:class:`~repro.trees.rooted.RootedTree` consumes directly).
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.accounting import RoundAccountant, log2ceil
@@ -61,8 +56,8 @@ from repro.trees.rooted import Edge, _node_sort_key, edge_key
 class TreePacking:
     """The packed spanning trees plus provenance of how they were obtained.
 
-    ``trees`` holds :class:`networkx.Graph` objects on the networkx path
-    and plain ``{node: [neighbors]}`` adjacency mappings on the CSR path.
+    ``trees`` holds plain ``{index: [neighbor indices]}`` adjacency
+    mappings over the packed graph's dense node indices.
     """
 
     trees: list
@@ -71,8 +66,9 @@ class TreePacking:
     approx_cut_value: float
     ma_rounds: float
     duplicates_removed: int = 0
-    #: CSR path only: per-tree (edge_u, edge_v) arrays in insertion order
-    #: (what the batched forest builds consume); ``None`` on the nx path.
+    #: per-tree (edge_u, edge_v) arrays in insertion order (what the
+    #: batched forest builds consume); ``None`` for many-graph packings,
+    #: which return them on :class:`ManyPacking` instead.
     tree_edge_arrays: "list[tuple[np.ndarray, np.ndarray]] | None" = field(
         default=None, repr=False, compare=False
     )
@@ -82,44 +78,19 @@ def _edge_order_key(edge: Edge) -> tuple:
     return (_node_sort_key(edge[0]), _node_sort_key(edge[1]))
 
 
-def _sample_multiplicities(
-    graph: nx.Graph, probability: float, rng: random.Random
-) -> nx.Graph:
-    """Binomially subsample each edge's weight-as-multiplicity.
-
-    One vectorized exact binomial draw over all edges (numpy's BTPE sampler
-    handles arbitrary multiplicities in O(1) each) replaces the former
-    per-unit Bernoulli loop, whose cost was O(total weight).  The generator
-    is seeded from ``rng``'s stream, so sampling stays a deterministic
-    function of the packing seed.  Caveat: NEP 19 lets Generator
-    distribution streams change between numpy feature releases, so
-    sampled-regime packings are reproducible per (seed, numpy version),
-    not across numpy upgrades.
-    """
-    sampled = nx.Graph()
-    sampled.add_nodes_from(graph.nodes())
-    pairs: list[tuple] = []
-    weights: list[int] = []
-    for u, v, data in graph.edges(data=True):
-        weight = int(round(data.get("weight", 1)))
-        if weight <= 0:
-            continue
-        pairs.append((u, v))
-        weights.append(weight)
-    if not pairs:
-        return sampled
-    generator = np.random.default_rng(rng.getrandbits(64))
-    kept = generator.binomial(np.array(weights, dtype=np.int64), probability)
-    for (u, v), count in zip(pairs, kept):
-        if count > 0:
-            sampled.add_edge(u, v, weight=int(count))
-    return sampled
-
-
 def _sample_multiplicities_csr(
     graph: CSRGraph, probability: float, rng: random.Random
 ) -> CSRGraph:
-    """CSR twin of :func:`_sample_multiplicities`: same draws, same order."""
+    """Binomially subsample each edge's weight-as-multiplicity.
+
+    One vectorized exact binomial draw over the canonical edge order
+    (numpy's BTPE sampler handles arbitrary multiplicities in O(1) each).
+    The generator is seeded from ``rng``'s stream, so sampling stays a
+    deterministic function of the packing seed.  Caveat: NEP 19 lets
+    Generator distribution streams change between numpy feature releases,
+    so sampled-regime packings are reproducible per (seed, numpy
+    version), not across numpy upgrades.
+    """
     weights = np.rint(graph.edge_w).astype(np.int64)
     positive = weights > 0
     generator = np.random.default_rng(rng.getrandbits(64))
@@ -139,7 +110,7 @@ def default_tree_count(n: int) -> int:
 
 
 def pack_trees(
-    graph: "nx.Graph | CSRGraph",
+    graph: CSRGraph,
     seed: int = 0,
     num_trees: int | None = None,
     accountant: RoundAccountant | None = None,
@@ -148,111 +119,17 @@ def pack_trees(
 ) -> TreePacking:
     """Theorem 12: pack Θ(log n) spanning trees by greedy load-balancing.
 
-    ``ma_backend`` selects the Minor-Aggregation engine on the CSR path
-    (``None`` inherits ``REPRO_MA_BACKEND``, default compiled); the
-    networkx path always runs the closure reference engine -- there are no
-    flat arrays to lower onto.  Both backends pack bit-identical trees.
+    ``ma_backend`` selects the Minor-Aggregation engine (``None``
+    inherits ``REPRO_MA_BACKEND``, default compiled); both engines pack
+    bit-identical trees.  Convert networkx input with
+    :meth:`CSRGraph.from_networkx` first (sessions do this at the
+    boundary).
     """
-    if isinstance(graph, CSRGraph):
-        return _pack_trees_csr(
-            graph, seed=seed, num_trees=num_trees, accountant=accountant,
-            approx_cut_value=approx_cut_value, ma_backend=ma_backend,
+    if not isinstance(graph, CSRGraph):
+        raise TypeError(
+            "pack_trees takes a CSRGraph; convert networkx input with "
+            "CSRGraph.from_networkx"
         )
-    n = graph.number_of_nodes()
-    if n < 2:
-        raise ValueError("need at least two nodes to pack trees")
-    acct = accountant or RoundAccountant()
-    rng = random.Random(seed)
-    if num_trees is None:
-        num_trees = default_tree_count(n)
-
-    if approx_cut_value is None:
-        from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-
-        with obs_trace.span(
-            "pack.approx_min_cut", n=n, acct="packing:approx-min-cut"
-        ):
-            approx_cut_value, _partition = stoer_wagner_min_cut(graph)
-        # The distributed stand-in: Õ(1) Minor-Aggregation rounds [GH16].
-        acct.charge(log2ceil(n) ** 2, "packing:approx-min-cut")
-
-    # Regime (B): sample down to a Θ(log n) min-cut when lambda is large.
-    target = 24.0 * max(1.0, math.log(n))
-    packing_graph = graph
-    sampled = False
-    probability: float | None = None
-    if approx_cut_value > 2 * target:
-        with obs_trace.span("pack.sampling", n=n, acct="packing:sampling"):
-            probability = min(1.0, target / approx_cut_value)
-            for _attempt in range(6):
-                candidate = _sample_multiplicities(graph, probability, rng)
-                if (
-                    candidate.number_of_nodes() == n
-                    and nx.is_connected(candidate)
-                ):
-                    packing_graph = candidate
-                    sampled = True
-                    break
-                probability = min(1.0, 2 * probability)
-        acct.charge(1, "packing:sampling")
-
-    # Regime (A): greedy packing with relative loads, MSTs via Boruvka.
-    engine = MinorAggregationEngine(packing_graph, accountant=acct)
-    uses: dict[Edge, int] = {
-        edge_key(u, v): 0 for u, v in packing_graph.edges()
-    }
-
-    def load(edge: Edge) -> float:
-        multiplicity = packing_graph[edge[0]][edge[1]].get("weight", 1)
-        return uses[edge] / max(multiplicity, 1e-12)
-
-    trees: list[nx.Graph] = []
-    seen: set[frozenset] = set()
-    duplicates = 0
-    with obs_trace.span(
-        "pack.boruvka", n=n, iterations=num_trees, acct="packing:boruvka"
-    ):
-        for _iteration in range(num_trees):
-            mst_edges = boruvka_mst(
-                engine, edge_cost=load, label="packing:boruvka"
-            )
-            for edge in mst_edges:
-                uses[edge] += 1
-            signature = frozenset(mst_edges)
-            if signature in seen:
-                duplicates += 1
-                continue
-            seen.add(signature)
-            tree = nx.Graph()
-            tree.add_nodes_from(graph.nodes())
-            # Deterministic insertion order: the adjacency (and hence
-            # every downstream BFS / preorder) must not depend on set
-            # iteration order, so both execution paths root identical
-            # trees.
-            for u, v in sorted(mst_edges, key=_edge_order_key):
-                tree.add_edge(u, v, weight=graph[u][v].get("weight", 1))
-            trees.append(tree)
-    return TreePacking(
-        trees=trees,
-        sampled=sampled,
-        sampling_probability=probability,
-        approx_cut_value=approx_cut_value,
-        ma_rounds=acct.total,
-        duplicates_removed=duplicates,
-    )
-
-
-# ----------------------------------------------------------------------
-# CSR-native path
-# ----------------------------------------------------------------------
-def _pack_trees_csr(
-    graph: CSRGraph,
-    seed: int,
-    num_trees: int | None,
-    accountant: RoundAccountant | None,
-    approx_cut_value: float | None,
-    ma_backend: str | None = None,
-) -> TreePacking:
     n = graph.n
     if n < 2:
         raise ValueError("need at least two nodes to pack trees")
@@ -291,16 +168,16 @@ def _pack_trees_csr(
     uses = np.zeros(packing_graph.m, dtype=np.int64)
     # Label-space canonical keys per edge row: the tie-break and the tree
     # insertion order both live in edge_key space (endpoints ordered by
-    # string, not by index -- edge_key(4, 10) is (10, 4)), so both engine
-    # backends and the networkx path agree tie for tie.
+    # string, not by index -- edge_key(4, 10) is (10, 4)), so both
+    # engines agree tie for tie.
     node_labels = graph.node_labels()
     canonical = [
         edge_key(node_labels[u], node_labels[v])
         for u, v in zip(eu.tolist(), ev.tolist())
     ]
 
-    backend = resolve_ma_backend(ma_backend)
-    if backend == "compiled":
+    ma_backend = resolve_ma_backend(ma_backend)
+    if ma_backend == "compiled":
         engine = CompiledMinorAggregationEngine(packing_graph, accountant=acct)
     else:
         engine = MinorAggregationEngine(packing_graph, accountant=acct)
@@ -315,7 +192,7 @@ def _pack_trees_csr(
     ):
         for _iteration in range(num_trees):
             cost = uses / multiplicity
-            if backend == "compiled":
+            if ma_backend == "compiled":
                 mst_ids = engine.original_rows(
                     compiled_boruvka_rows(
                         engine,
@@ -340,10 +217,9 @@ def _pack_trees_csr(
                 duplicates += 1
                 continue
             seen.add(signature)
-            # Insert tree edges in the label-space edge_key order the
-            # networkx path uses, so the BFS adjacency sequences (and
-            # hence every preorder downstream) correspond 1:1 across
-            # paths.
+            # Insert tree edges in label-space edge_key order, so the BFS
+            # adjacency sequences (and hence every preorder downstream)
+            # follow the labels, not the index order.
             chosen = sorted(
                 mst_ids.tolist(), key=lambda e: _edge_order_key(canonical[e])
             )
@@ -421,7 +297,7 @@ def pack_trees_many(
         # Reference mode: pack each graph serially on the closure engine
         # (the fused path below *is* the array backend).
         packings = [
-            _pack_trees_csr(
+            pack_trees(
                 graph, seed=seed, num_trees=num_trees, accountant=acct,
                 approx_cut_value=None, ma_backend="closure",
             )
@@ -434,7 +310,7 @@ def pack_trees_many(
         )
 
     # Per-graph preamble: approx min-cut, sampling regime, edge-order
-    # ranks -- identical, call for call, to ``_pack_trees_csr``.
+    # ranks -- identical, call for call, to ``pack_trees``.
     states: list[dict] = []
     for graph, seed, acct in zip(graphs, seeds, accts):
         n = graph.n

@@ -84,7 +84,24 @@ class BudgetExceeded(ReproError, RuntimeError):
 
 
 class CertificationError(ReproError, RuntimeError):
-    """An independently re-evaluated cut disagreed with the result."""
+    """An independently re-evaluated cut disagreed with the result.
+
+    When the pipeline's own witness check trips, the error carries the
+    solver's candidate value, the value re-evaluated on the witness
+    partition, and the tolerance they were compared under.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        candidate_value: "float | None" = None,
+        partition_value: "float | None" = None,
+        tolerance: "float | None" = None,
+    ):
+        super().__init__(message)
+        self.candidate_value = candidate_value
+        self.partition_value = partition_value
+        self.tolerance = tolerance
 
 
 class TransportTimeout(ReproError, RuntimeError):

@@ -13,11 +13,13 @@ import math
 from repro.baselines import stoer_wagner_min_cut
 from repro.core.tree_packing import pack_trees
 from repro.experiments.common import ExperimentResult
-from repro.graphs import planted_cut_graph, random_connected_gnm
+from repro.graphs import csr_planted_cut_graph, csr_random_connected_gnm
 
 
 def _crossings(tree, side) -> int:
-    return sum(1 for u, v in tree.edges() if (u in side) != (v in side))
+    return sum(
+        1 for u in tree for v in tree[u] if u < v and (u in side) != (v in side)
+    )
 
 
 def run(quick: bool = True) -> ExperimentResult:
@@ -26,7 +28,7 @@ def run(quick: bool = True) -> ExperimentResult:
     successes = 0
     total = 0
     for seed in seeds:
-        graph = random_connected_gnm(28, 70, seed=seed + 1000, weight_high=25)
+        graph = csr_random_connected_gnm(28, 70, seed=seed + 1000, weight_high=25)
         value, (side, _other) = stoer_wagner_min_cut(graph)
         packing = pack_trees(graph, seed=seed)
         best = min(_crossings(t, side) for t in packing.trees)
@@ -48,18 +50,18 @@ def run(quick: bool = True) -> ExperimentResult:
 
     # Heavy-weight instance: the Karger sampling regime must fire and the
     # property must still hold.
-    heavy = planted_cut_graph(
+    heavy = csr_planted_cut_graph(
         10, 12, cross_edges=5, cross_weight=300, inside_weight=3000, seed=5
     )
-    left, _right = heavy.graph["planted_partition"]
+    left, _right = heavy.meta["planted_partition"]
     heavy_packing = pack_trees(heavy, seed=5)
     heavy_best = min(_crossings(t, left) for t in heavy_packing.trees)
     rows.append(
         {
             "instance": "planted heavy (sampling regime)",
-            "min_cut": heavy.graph["planted_cut_value"],
+            "min_cut": heavy.meta["planted_cut_value"],
             "trees": len(heavy_packing.trees),
-            "log2_n": round(math.log2(len(heavy)), 1),
+            "log2_n": round(math.log2(heavy.n), 1),
             "min_crossings": heavy_best,
             "2-respected": heavy_best <= 2,
             "sampled": heavy_packing.sampled,

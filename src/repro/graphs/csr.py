@@ -46,7 +46,14 @@ from repro.errors import GraphValidationError
 
 Node = Hashable
 
-__all__ = ["CSRGraph", "DisjointSets", "merge_components", "validate_weights"]
+__all__ = [
+    "CSRGraph",
+    "DisjointSets",
+    "as_csr",
+    "merge_components",
+    "networkx_edge_table",
+    "validate_weights",
+]
 
 
 class DisjointSets:
@@ -304,25 +311,10 @@ class CSRGraph:
     @classmethod
     def from_networkx(cls, graph) -> "CSRGraph":
         """Boundary conversion from a networkx graph (weights validated)."""
-        node_list = list(graph.nodes())
-        n = len(node_list)
-        identity = all(
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x == i
-            for i, x in enumerate(node_list)
-        )
-        position = None if identity else {x: i for i, x in enumerate(node_list)}
-        m = graph.number_of_edges()
-        u = np.empty(m, dtype=np.int64)
-        v = np.empty(m, dtype=np.int64)
-        w = [None] * m
-        for i, (a, b, weight) in enumerate(graph.edges(data="weight", default=1)):
-            u[i] = a if position is None else position[a]
-            v[i] = b if position is None else position[b]
-            w[i] = weight
-        weights = validate_weights(w, context="from_networkx")
+        nodes, identity, u, v, weights = networkx_edge_table(graph)
         return cls(
-            n, u, v, weights,
-            nodes=None if identity else node_list,
+            len(nodes), u, v, weights,
+            nodes=None if identity else nodes,
             meta=dict(graph.graph),
         )
 
@@ -643,6 +635,48 @@ class CSRGraph:
             self.n, self.edge_u, self.edge_v, w,
             nodes=self.nodes, meta=self.meta, canonical=True,
         )
+
+
+def networkx_edge_table(
+    graph,
+) -> tuple[list, bool, np.ndarray, np.ndarray, np.ndarray]:
+    """The one networkx reader: ``(nodes, identity, u, v, w)``.
+
+    ``u``/``v`` index into ``nodes`` (``identity`` says the labels are
+    ``0..n-1`` in order) and ``w`` is validated; edges keep the graph's
+    own order, self-loops included.  :meth:`CSRGraph.from_networkx`
+    canonicalizes them; :meth:`GraphArrays.from_graph
+    <repro.kernel.cut_kernel.GraphArrays.from_graph>` uses them as is.
+    """
+    nodes = list(graph.nodes())
+    identity = all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x == i
+        for i, x in enumerate(nodes)
+    )
+    # A comprehension, not list(): sizing the list would make the edge
+    # view count itself with a second full pass.
+    rows = [row for row in graph.edges(data="weight", default=1)]
+    if identity:
+        u = [a for a, _b, _w in rows]
+        v = [b for _a, b, _w in rows]
+    else:
+        position = {x: i for i, x in enumerate(nodes)}
+        u = [position[a] for a, _b, _w in rows]
+        v = [position[b] for _a, b, _w in rows]
+    weights = validate_weights([w for _a, _b, w in rows], context="from_networkx")
+    return (
+        nodes,
+        identity,
+        np.asarray(u, dtype=np.int64),
+        np.asarray(v, dtype=np.int64),
+        weights,
+    )
+
+
+def as_csr(graph) -> CSRGraph:
+    """The networkx boundary: CSR passes through, networkx converts once
+    (labels kept, weights validated)."""
+    return graph if isinstance(graph, CSRGraph) else CSRGraph.from_networkx(graph)
 
 
 def _canonicalize(

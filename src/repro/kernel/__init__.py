@@ -6,8 +6,8 @@ tree kernels and solves their 2-respecting oracles in one numpy pass --
 for the packed trees of one graph or, via ``OracleJob`` /
 ``batched_two_respecting_oracle_many``, across a whole sweep of graphs;
 ``forest`` builds BFS/Euler arrays for stacks of same-size trees without
-per-tree Python loops; ``config`` is the switch between the kernel paths
-and the pure-Python reference implementations.
+per-tree Python loops.  The kernel is the only implementation; the
+pure-Python references it is tested against live in ``tests/reference.py``.
 """
 
 from repro.kernel.batched import (
@@ -15,13 +15,6 @@ from repro.kernel.batched import (
     batched_two_respecting_oracle,
     batched_two_respecting_oracle_many,
     env_batch_bytes,
-)
-from repro.kernel.config import (
-    kernel_enabled,
-    parse_kernel_flag,
-    set_kernel_enabled,
-    use_kernel,
-    use_legacy,
 )
 from repro.kernel.cut_kernel import (
     GraphArrays,
@@ -31,7 +24,7 @@ from repro.kernel.cut_kernel import (
     partition_cut_weight_arrays,
 )
 from repro.kernel.forest import TreeStack, stacked_tree_arrays
-from repro.kernel.tree_kernel import TreeKernel
+from repro.kernel.tree import TreeKernel
 
 __all__ = [
     "GraphArrays",
@@ -44,11 +37,6 @@ __all__ = [
     "stacked_tree_arrays",
     "cover_values_kernel",
     "cut_partition_kernel",
-    "kernel_enabled",
-    "parse_kernel_flag",
     "pair_cover_matrix_kernel",
     "partition_cut_weight_arrays",
-    "set_kernel_enabled",
-    "use_kernel",
-    "use_legacy",
 ]

@@ -1,6 +1,6 @@
 """Vectorized cover/cut computations on top of :class:`TreeKernel`.
 
-Two algorithmic upgrades over the legacy path-walking implementations:
+Two algorithmic upgrades over path-walking implementations:
 
 * :func:`cover_values_kernel` -- the classic differencing trick: every graph
   edge ``{u, v}`` of weight ``w`` deposits ``+w`` at both endpoints and
@@ -27,7 +27,8 @@ Two algorithmic upgrades over the legacy path-walking implementations:
     = ``Cov(e)`` exactly, so one vectorized formula covers everything.
 
 All sums are plain float64 additions of the original weights, so for
-integer weights the results are bit-identical to the legacy reference.
+integer weights the results are bit-identical to the pure-Python
+reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import TYPE_CHECKING, Hashable
 import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import CSRGraph, validate_weights
-from repro.kernel.tree_kernel import TreeKernel
+from repro.graphs.csr import CSRGraph, networkx_edge_table
+from repro.kernel.tree import TreeKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.trees.rooted import Edge, RootedTree
@@ -59,7 +60,7 @@ class GraphArrays:
     Self-loops are dropped (they never cross a cut); zero-weight edges
     stay in the arrays so cut witnesses can still report them as crossing
     (cover computations filter them out via ``weights != 0`` where the
-    legacy reference skips them).
+    path-accumulation reference skips them).
 
     Weights pass through one dtype-checked conversion that rejects
     NaN/negative values up front -- bad inputs used to surface much later
@@ -95,25 +96,16 @@ class GraphArrays:
 
     @classmethod
     def from_graph(cls, graph: "nx.Graph | CSRGraph") -> "GraphArrays":
+        """Arrays of any graph: CSR directly (dense-index space), networkx
+        through the package's one networkx reader with its node labels
+        kept, so trees over those labels index straight in."""
         if isinstance(graph, CSRGraph):
             return cls.from_csr(graph)
-        nodes = list(graph.nodes())
-        position = {node: i for i, node in enumerate(nodes)}
-        us: list[int] = []
-        vs: list[int] = []
-        ws: list[float] = []
-        for u, v, data in graph.edges(data=True):
-            if u == v:
-                continue
-            us.append(position[u])
-            vs.append(position[v])
-            ws.append(data.get("weight", 1))
-        return cls(
-            nodes=nodes,
-            u_pos=np.array(us, dtype=np.int64),
-            v_pos=np.array(vs, dtype=np.int64),
-            weights=validate_weights(ws, context="GraphArrays"),
-        )
+        nodes, identity, u, v, w = networkx_edge_table(graph)
+        loops = u == v
+        if loops.any():
+            u, v, w = u[~loops], v[~loops], w[~loops]
+        return cls(nodes, u, v, w, identity_nodes=identity)
 
     @classmethod
     def from_csr(cls, graph: CSRGraph) -> "GraphArrays":
@@ -203,8 +195,8 @@ def pair_cover_matrix_kernel(
 ) -> "tuple[list[Edge], np.ndarray]":
     """``Cov(e, f)`` for every pair of tree edges in O(n^2 + m).
 
-    Returns the tree-edge list in the legacy order (BFS order of the bottom
-    nodes) and the symmetric matrix with ``M[i, i] = Cov(e_i)``.
+    Returns the tree-edge list in ``tree.edges()`` order (BFS order of the
+    bottom nodes) and the symmetric matrix with ``M[i, i] = Cov(e_i)``.
     """
     kernel = tree.kernel
     arrays = _arrays_for(graph, arrays)
@@ -284,7 +276,7 @@ def partition_cut_weight_arrays(
 ) -> tuple[float, list[tuple[Node, Node]]]:
     """Weight and crossing edges of a node bipartition, vectorized.
 
-    Equivalent to the legacy ``partition_cut_weight`` (same edge order,
+    Equivalent to an edge-by-edge scan (same edge order,
     zero-weight crossing edges included) but does the membership test as
     one boolean-array XOR instead of a Python loop per edge.
     """

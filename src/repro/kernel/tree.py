@@ -16,9 +16,9 @@ replaces per-node pointer chasing with contiguous numpy arrays:
   preorder permutation (``sum over [tin, tout)``), which is how the cover
   kernel gets its O(n + m) 1-respecting pass.
 
-The preorder is generated with the same stack discipline as the legacy
-``RootedTree.subtree_nodes`` (children pushed in order, popped LIFO), so
-kernel subtree slices reproduce the legacy enumeration element-for-element.
+The preorder is generated with a plain stack walk (children pushed in
+order, popped LIFO), so kernel subtree slices reproduce that enumeration
+element-for-element (the walk itself lives in ``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class TreeKernel:
         for node, kids in tree.children.items():
             children[index[node]] = [index[child] for child in kids]
 
-        # Euler tour (legacy stack order: children pushed in order, LIFO).
+        # Euler tour (stack order: children pushed in order, LIFO).
         tin = np.empty(n, dtype=np.int64)
         tout = np.empty(n, dtype=np.int64)
         preorder = np.empty(n, dtype=np.int64)

@@ -19,11 +19,11 @@ Rounds that are *not* lowerable -- non-numeric operators (FIRST, DICT_SUM,
 Misra-Gries sketches), closure edge messages, object-dtype inputs,
 bit-audited engines -- fall back to the inherited closure body, so every
 algorithm written against ``round()`` runs unchanged.  The closure engine
-remains the bit-identical correctness reference (the same pattern the tree
-kernel uses with legacy mode), selected via ``SolverConfig(ma_backend=...)``
-or ``REPRO_MA_BACKEND``; the parity suite (``pytest -m ma``) asserts
-identical :class:`~repro.ma.engine.MARoundResult` contents and identical
-:class:`~repro.accounting.RoundAccountant` ledgers across both engines.
+remains the bit-identical correctness reference, selected via
+``SolverConfig(ma_backend=...)`` or ``REPRO_MA_BACKEND``; the parity suite
+(``pytest -m ma``) asserts identical :class:`~repro.ma.engine.MARoundResult`
+contents and identical :class:`~repro.accounting.RoundAccountant` ledgers
+across both engines.
 
 Float caveat: segmented folds reduce in the exact node/edge order the
 closure engine folds in, so float results are bit-identical except that the

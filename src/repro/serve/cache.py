@@ -67,8 +67,7 @@ def packing_nbytes(packed: GraphPacking) -> int:
     the exact ``GraphArrays.nbytes`` plus the per-tree estimate.
     """
     trees = len(packed.packing.trees)
-    n = packed.csr.n if packed.csr is not None else len(packed.graph)
-    return int(packed.arrays.nbytes) + trees * n * TREE_NODE_BYTES
+    return int(packed.arrays.nbytes) + trees * packed.csr.n * TREE_NODE_BYTES
 
 
 class PackingCache:

@@ -86,7 +86,7 @@ from repro.core.session import (
     minimum_cut_many,
 )
 from repro.errors import ServiceClosedError
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, as_csr
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve.batcher import (
@@ -442,11 +442,7 @@ class MinCutService:
                 "or await start())"
             )
         started = time.perf_counter()
-        csr = (
-            graph
-            if isinstance(graph, CSRGraph)
-            else CSRGraph.from_networkx(graph)
-        )
+        csr = as_csr(graph)
         name = solver if solver is not None else self.config.solver
         get_solver(name)  # unknown solver: raise here, not inside the batch
         key = (csr.canonical_hash(), int(seed), name)
@@ -816,10 +812,8 @@ class MinCutService:
                 if isinstance(result, MinCutResult):
                     meta = result.stats["sweep"]
                     pending = cold[meta["index"]]
-                    if (
-                        meta["graph_hash"] is not None
-                        and meta["graph_hash"] != pending.key[0]
-                    ):  # pragma: no cover - sweep invariant
+                    # pragma: no cover - sweep invariant
+                    if meta["graph_hash"] != pending.key[0]:
                         raise AssertionError(
                             "sweep result hash does not match its request"
                         )

@@ -15,10 +15,8 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 import networkx as nx
 
-from repro.kernel.config import kernel_enabled
-
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.kernel.tree_kernel import TreeKernel
+    from repro.kernel.tree import TreeKernel
 
 Node = Hashable
 Edge = tuple  # canonical (u, v) with a type-stable order
@@ -90,7 +88,7 @@ class RootedTree:
     def kernel(self) -> "TreeKernel":
         """The flat-array kernel of this tree, built on first use."""
         if self._kernel is None:
-            from repro.kernel.tree_kernel import TreeKernel
+            from repro.kernel.tree import TreeKernel
 
             self._kernel = TreeKernel(self)
         return self._kernel
@@ -147,61 +145,25 @@ class RootedTree:
             current = self.parent[current]
 
     def is_ancestor(self, ancestor: Node, node: Node) -> bool:
-        """``ancestor`` lies on the root-to-``node`` path (inclusive).
-
-        Kernel path: an O(1) Euler-interval containment test.
-        """
-        if kernel_enabled():
-            return self.kernel.is_ancestor(ancestor, node)
-        if self.depth[ancestor] > self.depth[node]:
-            return False
-        current = node
-        while self.depth[current] > self.depth[ancestor]:
-            current = self.parent[current]
-        return current == ancestor
+        """``ancestor`` lies on the root-to-``node`` path (inclusive):
+        an O(1) Euler-interval containment test."""
+        return self.kernel.is_ancestor(ancestor, node)
 
     def lca(self, u: Node, v: Node) -> Node:
-        """Lowest common ancestor (binary lifting on the kernel path)."""
-        if kernel_enabled():
-            return self.kernel.lca(u, v)
-        while self.depth[u] > self.depth[v]:
-            u = self.parent[u]
-        while self.depth[v] > self.depth[u]:
-            v = self.parent[v]
-        while u != v:
-            u = self.parent[u]
-            v = self.parent[v]
-        return u
+        """Lowest common ancestor (binary lifting on the kernel)."""
+        return self.kernel.lca(u, v)
 
     # ------------------------------------------------------------------
     # Subtrees and paths
     # ------------------------------------------------------------------
     def subtree_nodes(self, node: Node) -> list[Node]:
-        """All descendants of ``node`` (inclusive), preorder.
-
-        Kernel path: a single slice of the cached preorder sequence (the
-        kernel's Euler tour uses the same stack discipline, so the order
-        is identical to the legacy enumeration).
-        """
-        if kernel_enabled():
-            return self.kernel.subtree_nodes(node)
-        result = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            result.append(current)
-            stack.extend(self.children[current])
-        return result
+        """All descendants of ``node`` (inclusive), preorder: a single
+        slice of the kernel's cached preorder sequence."""
+        return self.kernel.subtree_nodes(node)
 
     def subtree_sizes(self) -> dict[Node, int]:
-        """|desc(v)| for every node (Euler interval widths on the kernel)."""
-        if kernel_enabled():
-            return self.kernel.subtree_sizes()
-        sizes = {node: 1 for node in self.order}
-        for node in reversed(self.order):
-            for child in self.children[node]:
-                sizes[node] += sizes[child]
-        return sizes
+        """|desc(v)| for every node (Euler interval widths)."""
+        return self.kernel.subtree_sizes()
 
     def path_edges(self, u: Node, v: Node) -> list[Edge]:
         """Tree edges on the unique u-v path (the covering set of {u, v})."""

@@ -3,7 +3,12 @@
 import networkx as nx
 import pytest
 
-from repro.cli import FAMILIES, main, read_edge_list, write_edge_list
+from repro.cli import main, read_edge_list_csr, write_edge_list
+from repro.graphs import CSR_FAMILY_BUILDERS
+
+
+def weight_of(graph, a, b):
+    return graph.edge_weight(graph.index_of(a), graph.index_of(b))
 
 
 class TestEdgeListIO:
@@ -14,30 +19,63 @@ class TestEdgeListIO:
         path = tmp_path / "g.txt"
         with open(path, "w") as handle:
             write_edge_list(graph, handle)
-        loaded = read_edge_list(str(path))
+        loaded = read_edge_list_csr(str(path))
         assert loaded.number_of_edges() == 2
-        assert loaded["a"]["b"]["weight"] == 3
-        assert loaded["b"]["c"]["weight"] == 7
+        assert weight_of(loaded, "a", "b") == 3
+        assert weight_of(loaded, "b", "c") == 7
 
     def test_default_weight_and_comments(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# header\n1 2\n2 3 9  # inline\n\n")
-        graph = read_edge_list(str(path))
-        assert graph["1"]["2"]["weight"] == 1
-        assert graph["2"]["3"]["weight"] == 9
+        graph = read_edge_list_csr(str(path))
+        assert weight_of(graph, "1", "2") == 1
+        assert weight_of(graph, "2", "3") == 9
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("justonetoken\n")
         with pytest.raises(ValueError):
-            read_edge_list(str(path))
+            read_edge_list_csr(str(path))
+
+
+class TestEdgeFileErrors:
+    """A bad ``--edges`` file exits non-zero with one line, no traceback."""
+
+    def assert_one_line_exit(self, argv, *fragments):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and message  # non-zero exit
+        assert "\n" not in message and "Traceback" not in message
+        for fragment in fragments:
+            assert fragment in message
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        self.assert_one_line_exit(
+            ["mincut", "--edges", str(path)], str(path), "No such file"
+        )
+
+    def test_too_few_fields(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("a b 1\nlonely\n")
+        self.assert_one_line_exit(
+            ["mincut", "--edges", str(path)], f"{path}:2", "u v [weight]"
+        )
+
+    def test_non_integer_weight(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("a b 1.5\n")
+        self.assert_one_line_exit(
+            ["mincut", "--edges", str(path)], f"{path}:1", "'1.5'", "integer"
+        )
 
 
 class TestFamilies:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(CSR_FAMILY_BUILDERS))
     def test_all_families_generate_connected(self, family):
-        graph = FAMILIES[family](24, 1)
-        assert nx.is_connected(graph)
+        graph = CSR_FAMILY_BUILDERS[family](24, 1)
+        assert graph.is_connected()
         assert graph.number_of_nodes() >= 4
 
 
@@ -73,7 +111,7 @@ class TestCommands:
         assert main(
             ["generate", "--family", "cycle", "--n", "12", "--out", str(out_path)]
         ) == 0
-        graph = read_edge_list(str(out_path))
+        graph = read_edge_list_csr(str(out_path))
         assert graph.number_of_edges() == 12
 
     def test_generate_to_stdout(self, capsys):

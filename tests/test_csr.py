@@ -1,11 +1,12 @@
 """CSR graph subsystem: canonical form, conversions, persistence, and the
-seeded equivalence of the CSR pipeline against the networkx reference path.
+seeded equivalence of networkx inputs (converted once, at the boundary)
+with their CSR twins.
 
 The headline contract: for every CLI family and seed, ``minimum_cut`` on
 the CSR-direct graph returns *bit-identical* values, witnesses, and
-partitions to the networkx path -- and the CSR hot path (generator ->
-packing -> batched per-tree solve -> oracle) never constructs a networkx
-object.
+partitions to the same graph handed over as networkx -- and the CSR hot
+path (generator -> packing -> batched per-tree solve -> oracle) never
+constructs a networkx object.
 """
 
 import random
@@ -365,21 +366,17 @@ class TestGeneratorEquivalence:
 class TestPackingEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_identical_trees_both_paths(self, seed):
+        """networkx input crosses the boundary into the same packing."""
         csr = csr_random_connected_gnm(22, 55, seed=seed)
-        graph = csr.to_networkx()
         pc = pack_trees(csr, seed=seed)
-        pn = pack_trees(graph, seed=seed)
+        pn = pack_trees(CSRGraph.from_networkx(csr.to_networkx()), seed=seed)
         assert pc.sampled == pn.sampled
         assert pc.sampling_probability == pn.sampling_probability
         assert pc.approx_cut_value == pn.approx_cut_value
         assert pc.ma_rounds == pn.ma_rounds
-        assert len(pc.trees) == len(pn.trees)
-        for adjacency, tree in zip(pc.trees, pn.trees):
-            csr_edges = sorted(
-                (u, v) for u in adjacency for v in adjacency[u] if u < v
-            )
-            nx_edges = sorted(tuple(sorted(e)) for e in tree.edges())
-            assert csr_edges == nx_edges
+        assert pc.trees == pn.trees
+        with pytest.raises(TypeError, match="from_networkx"):
+            pack_trees(csr.to_networkx(), seed=seed)
 
 
 class TestMinimumCutEquivalence:

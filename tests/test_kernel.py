@@ -1,12 +1,12 @@
-"""Array-backed tree kernel: exact equivalence with the legacy reference.
+"""Array-backed tree kernel: exact equivalence with the pure-Python reference.
 
-Every kernel-accelerated primitive -- ``cover_values``, ``cut_matrix``,
+Every kernel-backed primitive -- ``cover_values``, ``cut_matrix``,
 ``two_respecting_oracle``, ``lca``, ``is_ancestor``, ``subtree_nodes``,
 ``subtree_sizes``, ``cut_partition``, ``partition_cut_weight`` -- is run
-against the pure-Python implementation (via the ``use_legacy`` switch) on
-seeded random trees and graphs, including mixed node types, weight-zero
-edges, and degenerate shapes.  Integer weights must agree *bit for bit*;
-float weights to 1e-9.
+against the reference implementations in ``tests/reference.py`` on seeded
+random trees and graphs, including mixed node types, weight-zero edges,
+and degenerate shapes.  Integer weights must agree *bit for bit*; float
+weights to 1e-9.
 """
 
 from __future__ import annotations
@@ -20,25 +20,17 @@ import pytest
 
 from repro.core.cut_values import (
     cover_values,
-    cover_values_legacy,
     cut_matrix,
     cut_partition,
     pair_cover_matrix,
-    pair_cover_matrix_legacy,
     partition_cut_weight,
     two_respecting_oracle,
 )
 from repro.core.one_respecting import one_respecting_cuts_fast
 from repro.graphs import random_connected_gnm, random_spanning_tree
-from repro.kernel import (
-    GraphArrays,
-    TreeKernel,
-    kernel_enabled,
-    set_kernel_enabled,
-    use_kernel,
-    use_legacy,
-)
+from repro.kernel import GraphArrays, TreeKernel
 from repro.trees.rooted import RootedTree
+from tests import reference
 
 # ---------------------------------------------------------------------------
 # Case generators
@@ -111,14 +103,15 @@ class TestTreePrimitives:
         pairs = [
             (rng.choice(nodes), rng.choice(nodes)) for _ in range(80)
         ] + [(n, n) for n in nodes[:5]]
-        with use_legacy():
-            for u, v in pairs:
-                assert kernel.lca(u, v) == tree.lca(u, v)
-                assert kernel.is_ancestor(u, v) == tree.is_ancestor(u, v)
-                assert kernel.is_ancestor(v, u) == tree.is_ancestor(v, u)
-            for node in nodes:
-                assert kernel.subtree_nodes(node) == tree.subtree_nodes(node)
-            assert kernel.subtree_sizes() == tree.subtree_sizes()
+        for u, v in pairs:
+            assert kernel.lca(u, v) == reference.lca(tree, u, v)
+            assert kernel.is_ancestor(u, v) == reference.is_ancestor(tree, u, v)
+            assert kernel.is_ancestor(v, u) == reference.is_ancestor(tree, v, u)
+            assert tree.lca(u, v) == reference.lca(tree, u, v)
+        for node in nodes:
+            assert kernel.subtree_nodes(node) == reference.subtree_nodes(tree, node)
+        assert kernel.subtree_sizes() == reference.subtree_sizes(tree)
+        assert tree.subtree_sizes() == reference.subtree_sizes(tree)
 
     @pytest.mark.parametrize("seed,mixed,zerow", case_variants())
     def test_vectorized_lca_matches_scalar(self, seed, mixed, zerow):
@@ -141,18 +134,6 @@ class TestTreePrimitives:
         for node, size in sizes.items():
             i = kernel.index[node]
             assert int(kernel.tout[i] - kernel.tin[i]) == size
-
-    def test_dispatch_flag(self):
-        initial = kernel_enabled()  # honor REPRO_TREE_KERNEL if set
-        with use_legacy():
-            assert not kernel_enabled()
-            with use_kernel():
-                assert kernel_enabled()
-            assert not kernel_enabled()
-        assert kernel_enabled() == initial
-        set_kernel_enabled(not initial)
-        assert kernel_enabled() != initial
-        set_kernel_enabled(initial)
 
     def test_single_node_and_path_trees(self):
         lone = nx.Graph()
@@ -178,29 +159,23 @@ class TestCoverAndCuts:
     @pytest.mark.parametrize("seed,mixed,zerow", case_variants())
     def test_cover_values_bit_identical(self, seed, mixed, zerow):
         graph, tree = random_case(seed, mixed_types=mixed, zero_weights=zerow)
-        with use_kernel():
-            fast = cover_values(graph, tree)
-        reference = cover_values_legacy(graph, tree)
-        assert fast == reference
+        assert cover_values(graph, tree) == reference.cover_values(graph, tree)
 
     @pytest.mark.parametrize("seed,mixed,zerow", case_variants())
     def test_pair_cover_matrix_bit_identical(self, seed, mixed, zerow):
         graph, tree = random_case(seed, mixed_types=mixed, zero_weights=zerow)
-        with use_kernel():
-            edges_fast, matrix_fast = pair_cover_matrix(graph, tree)
-        edges_ref, matrix_ref = pair_cover_matrix_legacy(graph, tree)
+        edges_fast, matrix_fast = pair_cover_matrix(graph, tree)
+        edges_ref, matrix_ref = reference.pair_cover_matrix(graph, tree)
         assert edges_fast == edges_ref
         assert np.array_equal(matrix_fast, matrix_ref)
 
     @pytest.mark.parametrize("seed,mixed,zerow", case_variants())
     def test_cut_matrix_and_oracle(self, seed, mixed, zerow):
         graph, tree = random_case(seed, mixed_types=mixed, zero_weights=zerow)
-        with use_kernel():
-            edges_fast, cuts_fast = cut_matrix(graph, tree)
-            oracle_fast = two_respecting_oracle(graph, tree)
-        with use_legacy():
-            edges_ref, cuts_ref = cut_matrix(graph, tree)
-            oracle_ref = two_respecting_oracle(graph, tree)
+        edges_fast, cuts_fast = cut_matrix(graph, tree)
+        oracle_fast = two_respecting_oracle(graph, tree)
+        edges_ref, cuts_ref = reference.cut_matrix(graph, tree)
+        oracle_ref = reference.two_respecting_oracle(graph, tree)
         assert edges_fast == edges_ref
         assert np.array_equal(cuts_fast, cuts_ref)
         assert oracle_fast == oracle_ref
@@ -208,42 +183,35 @@ class TestCoverAndCuts:
     @pytest.mark.parametrize("seed", CASE_SEEDS[:5])
     def test_float_weights_close(self, seed):
         graph, tree = random_case(seed, float_weights=True)
-        with use_kernel():
-            fast = cover_values(graph, tree)
-            _, matrix_fast = pair_cover_matrix(graph, tree)
-        reference = cover_values_legacy(graph, tree)
-        _, matrix_ref = pair_cover_matrix_legacy(graph, tree)
-        assert fast.keys() == reference.keys()
-        for edge in reference:
-            assert fast[edge] == pytest.approx(reference[edge], abs=1e-9)
+        fast = cover_values(graph, tree)
+        _, matrix_fast = pair_cover_matrix(graph, tree)
+        expected = reference.cover_values(graph, tree)
+        _, matrix_ref = reference.pair_cover_matrix(graph, tree)
+        assert fast.keys() == expected.keys()
+        for edge in expected:
+            assert fast[edge] == pytest.approx(expected[edge], abs=1e-9)
         np.testing.assert_allclose(matrix_fast, matrix_ref, atol=1e-9)
 
     @pytest.mark.parametrize("seed,mixed,zerow", case_variants())
     def test_one_respecting_fast_matches(self, seed, mixed, zerow):
         graph, tree = random_case(seed, mixed_types=mixed, zero_weights=zerow)
-        with use_kernel():
-            fast = one_respecting_cuts_fast(graph, tree)
-        with use_legacy():
-            reference = one_respecting_cuts_fast(graph, tree)
-        assert fast == reference
+        fast = one_respecting_cuts_fast(graph, tree)
+        assert fast == reference.one_respecting_cuts(graph, tree)
 
     def test_self_loop_is_ignored(self):
         graph, tree = random_case(2)
         node = next(iter(graph.nodes()))
         graph.add_edge(node, node, weight=5)
-        with use_kernel():
-            fast = cover_values(graph, tree)
-        assert fast == cover_values_legacy(graph, tree)
+        assert cover_values(graph, tree) == reference.cover_values(graph, tree)
 
     def test_shared_graph_arrays_match_per_call_extraction(self):
         graph, tree = random_case(4)
         arrays = GraphArrays.from_graph(graph)
-        with use_kernel():
-            assert cover_values(graph, tree, arrays=arrays) == cover_values(
-                graph, tree
-            )
-            _, with_arrays = pair_cover_matrix(graph, tree, arrays=arrays)
-            _, without = pair_cover_matrix(graph, tree)
+        assert cover_values(graph, tree, arrays=arrays) == cover_values(
+            graph, tree
+        )
+        _, with_arrays = pair_cover_matrix(graph, tree, arrays=arrays)
+        _, without = pair_cover_matrix(graph, tree)
         assert np.array_equal(with_arrays, without)
 
 
@@ -257,11 +225,9 @@ class TestPartitions:
     def test_cut_partition_all_single_edges(self, seed, mixed, zerow):
         _graph, tree = random_case(seed, mixed_types=mixed, zero_weights=zerow)
         for edge in tree.edges():
-            with use_kernel():
-                fast = cut_partition(tree, (edge,))
-            with use_legacy():
-                reference = cut_partition(tree, (edge,))
-            assert fast == reference
+            assert cut_partition(tree, (edge,)) == reference.cut_partition(
+                tree, (edge,)
+            )
 
     @pytest.mark.parametrize("seed,mixed,zerow", case_variants())
     def test_cut_partition_edge_pairs(self, seed, mixed, zerow):
@@ -274,11 +240,7 @@ class TestPartitions:
             else []
         )
         for pair in pairs:
-            with use_kernel():
-                fast = cut_partition(tree, pair)
-            with use_legacy():
-                reference = cut_partition(tree, pair)
-            assert fast == reference
+            assert cut_partition(tree, pair) == reference.cut_partition(tree, pair)
 
     @pytest.mark.parametrize("seed,mixed,zerow", case_variants())
     def test_partition_cut_weight_arrays(self, seed, mixed, zerow):
@@ -289,31 +251,40 @@ class TestPartitions:
         for _ in range(10):
             side = frozenset(rng.sample(nodes, rng.randint(1, len(nodes) - 1)))
             fast = partition_cut_weight(graph, side, arrays=arrays)
-            reference = partition_cut_weight(graph, side)
-            assert fast == reference
+            assert fast == partition_cut_weight(graph, side)
+            value, crossing = reference.partition_cut_weight(graph, side)
+            assert fast[0] == value
+            assert sorted(fast[1], key=str) == sorted(crossing, key=str)
 
 
 # ---------------------------------------------------------------------------
-# Reported metrics must not depend on the kernel flag
+# Reported metrics must not depend on how the tree primitives are computed
 # ---------------------------------------------------------------------------
 
 
 class TestScheduleParity:
     @pytest.mark.parametrize("seed", range(4))
-    def test_hld_construction_schedule_identical(self, seed):
+    def test_hld_construction_schedule_identical(self, seed, monkeypatch):
         """The merge schedule (iterations, part counts, charged rounds) is
-        a reported paper metric; it must be bit-identical across paths."""
+        a reported paper metric; it must be bit-identical when the tree's
+        primitives come from the parent-walk reference instead."""
         from repro.trees.hld_construction import build_hld_distributed
         from tests.conftest import random_tree
 
-        tree = random_tree(50, seed=seed)
-        with use_kernel():
-            fast = build_hld_distributed(tree)
-        with use_legacy():
-            reference = build_hld_distributed(tree)
-        assert fast.iterations == reference.iterations
-        assert fast.part_counts == reference.part_counts
-        assert fast.ma_rounds == reference.ma_rounds
+        fast = build_hld_distributed(random_tree(50, seed=seed))
+        walked = random_tree(50, seed=seed)
+        for name in ("lca", "is_ancestor", "subtree_nodes"):
+            primitive = getattr(reference, name)
+            monkeypatch.setattr(
+                walked, name, lambda *args, f=primitive: f(walked, *args)
+            )
+        monkeypatch.setattr(
+            walked, "subtree_sizes", lambda: reference.subtree_sizes(walked)
+        )
+        expected = build_hld_distributed(walked)
+        assert fast.iterations == expected.iterations
+        assert fast.part_counts == expected.part_counts
+        assert fast.ma_rounds == expected.ma_rounds
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +293,9 @@ class TestScheduleParity:
 
 
 def test_kernel_is_faster_on_moderate_instance():
-    """The kernel path must beat legacy clearly even at modest sizes.
+    """The kernel must clearly beat the path-accumulation reference.
 
-    A coarse 2x bar at n=192 keeps this robust under CI noise; the
-    benchmark suite asserts the >=5x bar at n=512, m=2048.
+    A coarse 2x bar at n=192 keeps this robust under CI noise.
     """
     import time
 
@@ -333,13 +303,11 @@ def test_kernel_is_faster_on_moderate_instance():
     tree = RootedTree(random_spanning_tree(graph, seed=12), 0)
     tree.kernel  # build outside the timed region: shared by real callers
 
-    with use_kernel():
-        start = time.perf_counter()
-        fast = two_respecting_oracle(graph, tree)
-        fast_elapsed = time.perf_counter() - start
-    with use_legacy():
-        start = time.perf_counter()
-        reference = two_respecting_oracle(graph, tree)
-        legacy_elapsed = time.perf_counter() - start
-    assert fast == reference
-    assert fast_elapsed < legacy_elapsed / 2, (fast_elapsed, legacy_elapsed)
+    start = time.perf_counter()
+    fast = two_respecting_oracle(graph, tree)
+    fast_elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    expected = reference.two_respecting_oracle(graph, tree)
+    reference_elapsed = time.perf_counter() - start
+    assert fast == expected
+    assert fast_elapsed < reference_elapsed / 2, (fast_elapsed, reference_elapsed)

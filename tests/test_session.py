@@ -28,9 +28,8 @@ class TestSolverConfig:
     def test_defaults(self):
         config = repro.SolverConfig()
         assert config.solver == "minor-aggregation"
-        assert config.backend == "csr"
         assert config.num_trees is None
-        assert config.tree_kernel is None
+        assert config.ma_backend is None
         assert config.batch_bytes is None
         assert config.compute_congest is True
 
@@ -44,26 +43,26 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize(
         "fields",
-        [dict(backend="duckdb"), dict(num_trees=0), dict(batch_bytes=0)],
+        [dict(ma_backend="duckdb"), dict(num_trees=0), dict(batch_bytes=0)],
     )
     def test_validation(self, fields):
         with pytest.raises(ValueError):
             repro.SolverConfig(**fields)
 
     def test_from_env_round_trip(self):
-        env = {"REPRO_TREE_KERNEL": "legacy", "REPRO_BATCH_BYTES": "12345"}
+        env = {"REPRO_TRACE": "0", "REPRO_BATCH_BYTES": "12345"}
         config = repro.SolverConfig.from_env(env)
-        assert config.tree_kernel is False
+        assert config.trace is False
         assert config.batch_bytes == 12345
         assert repro.SolverConfig.from_env({}) == repro.SolverConfig()
         # overrides win over the environment
-        assert repro.SolverConfig.from_env(env, tree_kernel=True).tree_kernel
+        assert repro.SolverConfig.from_env(env, trace=True).trace
 
     def test_from_env_reads_process_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_KERNEL", "on")
+        monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.setenv("REPRO_BATCH_BYTES", "999")
         config = repro.SolverConfig.from_env()
-        assert config.tree_kernel is True
+        assert config.trace is True
         assert config.batch_bytes == 999
 
     def test_from_env_ignores_garbage_batch_bytes(self):
@@ -72,12 +71,10 @@ class TestSolverConfig:
 
     def test_from_args_round_trip(self):
         args = build_parser().parse_args(
-            ["mincut", "--solver", "oracle", "--backend", "networkx",
-             "--trees", "7", "--no-congest"]
+            ["mincut", "--solver", "oracle", "--trees", "7", "--no-congest"]
         )
         config = repro.SolverConfig.from_args(args)
         assert config.solver == "oracle"
-        assert config.backend == "networkx"
         assert config.num_trees == 7
         assert config.compute_congest is False
 
@@ -85,7 +82,6 @@ class TestSolverConfig:
         args = build_parser().parse_args(["mincut"])
         config = repro.SolverConfig.from_args(args)
         assert config.solver == "minor-aggregation"
-        assert config.backend == "csr"
         assert config.num_trees is None
         assert config.compute_congest is True
 
@@ -139,7 +135,7 @@ class TestRegistry:
         assert "echo" not in registered_solvers()
 
     def test_get_solver_traits(self):
-        assert get_solver("minor-aggregation").label_space
+        assert get_solver("minor-aggregation").uses_packing
         assert get_solver("oracle").uses_packing
         assert not get_solver("stoer-wagner").uses_packing
 
@@ -217,17 +213,6 @@ class TestStagedSessions:
         reference = repro.minimum_cut(graph, seed=6, solver="oracle", num_trees=4)
         assert result.value == reference.value
         assert result.partition == reference.partition
-
-    def test_tree_kernel_pin_matches_flag_context(self):
-        graph = build("gnm", 20, 8).to_networkx()
-        pinned = repro.MinCutSolver(
-            repro.SolverConfig(solver="oracle", tree_kernel=False)
-        ).solve(graph, seed=8)
-        with repro.use_legacy():
-            reference = repro.minimum_cut(graph, seed=8, solver="oracle")
-        assert pinned.value == reference.value
-        assert pinned.partition == reference.partition
-        assert pinned.candidate == reference.candidate
 
     def test_batch_bytes_pin_changes_nothing_observable(self):
         graph = build("gnm", 24, 10)
@@ -407,13 +392,17 @@ class TestMinimumCutMany:
                 "graph_hash": graph.canonical_hash(),
             }
 
-    def test_networkx_results_carry_index_with_null_hash(self):
-        graphs = [build("gnm", 14, s).to_networkx() for s in range(2)]
+    def test_networkx_results_carry_csr_graph_hash(self):
+        csrs = [build("gnm", 14, s) for s in range(2)]
         sweep = repro.minimum_cut_many(
-            graphs, repro.SolverConfig(solver="oracle"), seeds=[0, 1]
+            [csr.to_networkx() for csr in csrs],
+            repro.SolverConfig(solver="oracle"), seeds=[0, 1],
         )
-        for index, result in enumerate(sweep):
-            assert result.stats["sweep"] == {"index": index, "graph_hash": None}
+        for index, (csr, result) in enumerate(zip(csrs, sweep)):
+            assert result.stats["sweep"] == {
+                "index": index,
+                "graph_hash": csr.canonical_hash(),
+            }
 
     def test_sweep_failures_carry_graph_hash(self):
         good = build("gnm", 16, 0)
