@@ -24,7 +24,7 @@ from repro.kernel.cut_kernel import (
     partition_cut_weight_arrays,
 )
 from repro.kernel.forest import TreeStack, stacked_tree_arrays
-from repro.kernel.tree import TreeKernel
+from repro.kernel.tree_kernel import TreeKernel
 
 __all__ = [
     "GraphArrays",

@@ -39,7 +39,7 @@ import networkx as nx
 import numpy as np
 
 from repro.graphs.csr import CSRGraph, networkx_edge_table
-from repro.kernel.tree import TreeKernel
+from repro.kernel.tree_kernel import TreeKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.trees.rooted import Edge, RootedTree

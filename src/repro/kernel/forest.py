@@ -1,6 +1,6 @@
 """Stacked tree arrays: BFS + Euler intervals for many trees in one pass.
 
-:class:`~repro.kernel.tree.TreeKernel` builds one tree's arrays
+:class:`~repro.kernel.tree_kernel.TreeKernel` builds one tree's arrays
 with a Python BFS and an explicit DFS stack -- fine per call, but a
 many-graph sweep packs *hundreds* of trees and the per-tree Python loops
 become the bottleneck once packing and the oracle are batched.  This

@@ -812,8 +812,9 @@ class MinCutService:
                 if isinstance(result, MinCutResult):
                     meta = result.stats["sweep"]
                     pending = cold[meta["index"]]
-                    # pragma: no cover - sweep invariant
-                    if meta["graph_hash"] != pending.key[0]:
+                    if (
+                        meta["graph_hash"] != pending.key[0]
+                    ):  # pragma: no cover - sweep invariant
                         raise AssertionError(
                             "sweep result hash does not match its request"
                         )

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 import networkx as nx
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.kernel.tree import TreeKernel
+    from repro.kernel.tree_kernel import TreeKernel
 
 Node = Hashable
 Edge = tuple  # canonical (u, v) with a type-stable order
@@ -88,7 +88,7 @@ class RootedTree:
     def kernel(self) -> "TreeKernel":
         """The flat-array kernel of this tree, built on first use."""
         if self._kernel is None:
-            from repro.kernel.tree import TreeKernel
+            from repro.kernel.tree_kernel import TreeKernel
 
             self._kernel = TreeKernel(self)
         return self._kernel

@@ -251,10 +251,7 @@ class TestPartitions:
         for _ in range(10):
             side = frozenset(rng.sample(nodes, rng.randint(1, len(nodes) - 1)))
             fast = partition_cut_weight(graph, side, arrays=arrays)
-            assert fast == partition_cut_weight(graph, side)
-            value, crossing = reference.partition_cut_weight(graph, side)
-            assert fast[0] == value
-            assert sorted(fast[1], key=str) == sorted(crossing, key=str)
+            assert fast == reference.partition_cut_weight(graph, side)
 
 
 # ---------------------------------------------------------------------------
