@@ -7,8 +7,8 @@ one flag read.  This script *measures* that promise on two workloads -- the E10
 deterministic-primitives workload (the Minor-Aggregation engine is the
 hottest instrumented call site -- one span plus two counter
 increments per executed round) and, with ``--workload serve``, the
-service tier's batched request path (spans per batch/warm solve plus
-cache/queue/latency instruments per request):
+service tier's batched request path (spans per batch and warm solve,
+plus the pipeline's own spans and oracle histograms):
 
 1. run the workload once with tracing **enabled** and count every
    instrumentation event it emits (recorded spans + dropped spans,
@@ -58,9 +58,9 @@ def _e10_workload() -> None:
 
 
 def _serve_workload() -> None:
-    """A cold-then-warm service pass: batch, cache, and latency
-    instruments all fire, with result dedup off so the warm pass takes
-    the instrumented packing-cache path rather than a dictionary hit."""
+    """A cold-then-warm service pass: batch and warm-solve spans both
+    fire, with result dedup off so the warm pass takes the packing-cache
+    path rather than a dictionary hit."""
     import asyncio
 
     from repro.graphs import CSR_FAMILY_BUILDERS

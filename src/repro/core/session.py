@@ -21,14 +21,15 @@ compares.  This module is the redesigned public surface:
   and return one uniform :class:`~repro.core.mincut.MinCutResult`;
   :func:`~repro.core.registry.register_solver` adds external entries
   that the CLI's ``--solver`` flag picks up automatically.
-* :func:`minimum_cut_many` -- the batched many-graph entrypoint.  For
-  CSR sweeps under the ``oracle`` solver it amortizes the whole
-  pipeline across graphs: one concatenated-table tree packing
+* :func:`minimum_cut_many` -- the batched many-graph entrypoint.  Under
+  the ``oracle`` solver it amortizes the whole pipeline across graphs:
+  one concatenated-table tree packing
   (:func:`~repro.core.tree_packing.pack_trees_many`), one stacked
   BFS/Euler kernel build (:mod:`repro.kernel.forest`), and one chunked
-  stacked-tensor oracle pass (:mod:`repro.kernel.batched`) -- with
-  results bit-identical to looping ``minimum_cut`` (asserted by the
-  test suite).
+  stacked-tensor oracle pass (:mod:`repro.kernel.batched`).  A single
+  ``oracle`` solve is the same pipeline on a sweep of one graph, so
+  sweep results are bit-identical to looping ``minimum_cut`` (asserted
+  by the test suite).
 
 ``minimum_cut()`` survives as a thin wrapper over a default session and
 stays bit-identical -- value, witness, partition, *and* round ledger --
@@ -65,7 +66,7 @@ from repro.core.mincut import (
     _two_node_cut_csr,
 )
 from repro.core.registry import SolverEntry, get_solver, register_solver
-from repro.core.tree_packing import pack_trees, pack_trees_many
+from repro.core.tree_packing import TreePacking, pack_trees, pack_trees_many
 from repro.errors import (
     BudgetExceeded,
     CertificationError,
@@ -75,12 +76,11 @@ from repro.errors import (
 from repro.graphs.csr import CSRGraph, as_csr
 from repro.kernel.batched import (
     OracleJob,
-    batched_two_respecting_oracle,
     batched_two_respecting_oracle_many,
     candidate_from_flat,
 )
 from repro.kernel.cut_kernel import GraphArrays, partition_cut_weight_arrays
-from repro.kernel.forest import stacked_tree_arrays
+from repro.kernel.forest import TreeStack, stacked_tree_arrays
 from repro.ma.simulation import congest_estimates
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -385,7 +385,6 @@ class GraphPacking:
             csr=self.csr,
             arrays=self.arrays,
             packing=self.packing,
-            rooted_for=lambda index: self.rooted_trees[index],
             candidates=candidates,
             acct=ctx.accountant,
             compute_congest=ctx.compute_congest,
@@ -541,7 +540,6 @@ def _finalize_candidates(
     csr: CSRGraph,
     arrays: GraphArrays,
     packing,
-    rooted_for,
     candidates: Sequence[CutCandidate],
     acct: RoundAccountant,
     compute_congest: bool,
@@ -551,79 +549,67 @@ def _finalize_candidates(
     with obs_trace.span(
         "session.finalize", solver=solver_name, trees=len(candidates)
     ):
-        return _finalize_candidates_inner(
-            csr, arrays, packing, rooted_for, candidates, acct,
-            compute_congest, solver_name, solve_stats,
-        )
+        best: CutCandidate | None = None
+        best_index = -1
+        for index, candidate in enumerate(candidates):
+            if candidate.better_than(best):
+                best = candidate
+                best_index = index
+        assert best is not None
+        # Only the winning tree is rooted here: its edges fix the cut.
+        best_rooted = RootedTree(packing.trees[best_index], _root_index(csr))
+        side = cut_partition(best_rooted, best.edges)
+        value, crossing = partition_cut_weight_arrays(arrays, side)
+        # Relative tolerance: candidate values come from prefix-sum/matrix
+        # accumulation whose float error scales with total graph weight,
+        # while the partition weight sums only the crossing edges.
+        tolerance = 1e-6 * max(1.0, abs(value))
+        if abs(value - best.value) > tolerance:
+            raise CertificationError(
+                f"cut witness inconsistent: candidate {best.value}, "
+                f"partition {value} (tolerance {tolerance:g})",
+                candidate_value=best.value,
+                partition_value=value,
+                tolerance=tolerance,
+            )
+        other = frozenset(range(csr.n)) - side
 
+        congest = None
+        if compute_congest:
+            congest = congest_estimates(
+                acct.total, n=csr.n, diameter=csr.diameter()
+            )
 
-def _finalize_candidates_inner(
-    csr: CSRGraph,
-    arrays: GraphArrays,
-    packing,
-    rooted_for,
-    candidates: Sequence[CutCandidate],
-    acct: RoundAccountant,
-    compute_congest: bool,
-    solver_name: str,
-    solve_stats=None,
-) -> MinCutResult:
-    best: CutCandidate | None = None
-    best_index = -1
-    for index, candidate in enumerate(candidates):
-        if candidate.better_than(best):
-            best = candidate
-            best_index = index
-    assert best is not None
-    best_rooted = rooted_for(best_index)
-    side = cut_partition(best_rooted, best.edges)
-    value, crossing = partition_cut_weight_arrays(arrays, side)
-    # Relative tolerance: candidate values come from prefix-sum/matrix
-    # accumulation whose float error scales with total graph weight, while
-    # the partition weight sums only the crossing edges.
-    tolerance = 1e-6 * max(1.0, abs(value))
-    if abs(value - best.value) > tolerance:
-        raise CertificationError(
-            f"cut witness inconsistent: candidate {best.value}, partition "
-            f"{value} (tolerance {tolerance:g})",
-            candidate_value=best.value,
-            partition_value=value,
-            tolerance=tolerance,
-        )
-    other = frozenset(range(csr.n)) - side
-
-    congest = None
-    if compute_congest:
-        congest = congest_estimates(acct.total, n=csr.n, diameter=csr.diameter())
-
-    stats: dict = {"accountant": acct.snapshot(), "trees": len(packing.trees)}
-    if solve_stats is not None:
-        stats["general_solver"] = {
-            "instances": solve_stats.instances,
-            "max_depth": solve_stats.max_depth,
-            "max_virtual_nodes": solve_stats.max_virtual_nodes,
+        stats: dict = {
+            "accountant": acct.snapshot(), "trees": len(packing.trees)
         }
+        if solve_stats is not None:
+            stats["general_solver"] = {
+                "instances": solve_stats.instances,
+                "max_depth": solve_stats.max_depth,
+                "max_virtual_nodes": solve_stats.max_virtual_nodes,
+            }
 
-    if csr.nodes is not None:
-        # Map the index-space witness back onto the graph's labels.
-        labels = csr.nodes
-        side = frozenset(labels[i] for i in side)
-        other = frozenset(labels[i] for i in other)
-        crossing = [edge_key(labels[u], labels[v]) for u, v in crossing]
-        best = _relabel(best, labels)
+        if csr.nodes is not None:
+            # Map the index-space witness back onto the graph's labels.
+            labels = csr.nodes
+            side = frozenset(labels[i] for i in side)
+            other = frozenset(labels[i] for i in other)
+            crossing = [edge_key(labels[u], labels[v]) for u, v in crossing]
+            best = _relabel(best, labels)
 
-    return MinCutResult(
-        value=value,
-        partition=(side, other),
-        cut_edges=crossing,
-        candidate=best,
-        best_tree_index=best_index,
-        packing=packing,
-        ma_rounds=acct.total,
-        congest=congest,
-        solver=solver_name,
-        stats=stats,
-    )
+        return MinCutResult(
+            value=value,
+            partition=(side, other),
+            cut_edges=crossing,
+            candidate=best,
+            best_tree_index=best_index,
+            packing=packing,
+            ma_rounds=acct.total,
+            congest=congest,
+            solver=solver_name,
+            stats=stats,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -670,15 +656,14 @@ def _solve_minor_aggregation(packed: GraphPacking, ctx: SolveContext) -> MinCutR
     description="centralized 2-respecting brute force, batched over stacked kernels",
 )
 def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
-    degraded = None
     started = time.perf_counter()
     try:
-        # All Θ(log n) per-tree solves batched over stacked kernel arrays.
-        candidates = batched_two_respecting_oracle(
-            packed.arrays,
-            packed.rooted_trees,
+        # A single solve is the one-graph case of the sweep's oracle stage.
+        return _oracle_many(
+            [(packed.csr, packed.arrays, packed.packing, ctx.accountant)],
             batch_bytes=packed.config.batch_bytes,
-        )
+            compute_congest=ctx.compute_congest,
+        )[0]
     except (BudgetExceeded, MemoryError) as exc:
         # Automatic degradation: the stacked tensor does not fit the
         # scratch budget (or the allocator), so give up on batching and
@@ -698,9 +683,58 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
             "seconds": time.perf_counter() - started,
         }
     result = packed.finalize(candidates, ctx)
-    if degraded is not None:
-        result.stats["degraded"] = degraded
+    result.stats["degraded"] = degraded
     return result
+
+
+def _oracle_many(
+    members: "Sequence[tuple[CSRGraph, GraphArrays, TreePacking, RoundAccountant]]",
+    batch_bytes: int | None,
+    compute_congest: bool,
+) -> list[MinCutResult]:
+    """The oracle solver over packed ``(csr, arrays, packing, accountant)``
+    graphs, one or a whole sweep.
+
+    One stacked BFS/Euler build for all trees of all graphs (same-``n``
+    graphs fused), one chunked stacked-tensor kernel pass, then per graph
+    the candidate decode and witness extraction, which roots only the
+    winning tree.
+    """
+    stacks = _build_stacks(
+        [csr.n for csr, _, _, _ in members],
+        [packing.tree_edge_arrays for _, _, packing, _ in members],
+        [_root_index(csr) for csr, _, _, _ in members],
+    )
+    jobs = [
+        OracleJob.from_arrays(arrays, stack.tin, stack.tout, stack.pos)
+        for (_, arrays, _, _), stack in zip(members, stacks)
+    ]
+    solved = batched_two_respecting_oracle_many(jobs, batch_bytes=batch_bytes)
+
+    results = []
+    for (csr, arrays, packing, acct), stack, (values, flats) in zip(
+        members, stacks, solved
+    ):
+        candidates = [
+            candidate_from_flat(
+                values[t], flats[t], csr.n,
+                lambda i, t=t, stack=stack: stack.edge_at(t, i),
+                CutCandidate,
+            )
+            for t in range(len(values))
+        ]
+        results.append(
+            _finalize_candidates(
+                csr=csr,
+                arrays=arrays,
+                packing=packing,
+                candidates=candidates,
+                acct=acct,
+                compute_congest=compute_congest,
+                solver_name="oracle",
+            )
+        )
+    return results
 
 
 @register_solver(
@@ -938,11 +972,25 @@ def _sweep_impl(
     if batched:
         started = time.perf_counter()
         try:
-            sweep = _solve_many_oracle(
-                [csrs[i] for i in batched],
-                [seed_list[i] for i in batched],
-                cfg,
-            )
+            members = [csrs[i] for i in batched]
+            with obs_trace.span(
+                "sweep.pack_many", graphs=len(members), acct_prefix="packing:"
+            ):
+                many = pack_trees_many(
+                    members, [seed_list[i] for i in batched],
+                    num_trees=cfg.num_trees, ma_backend=cfg.ma_backend,
+                )
+            with obs_trace.span("sweep.oracle", graphs=len(members)):
+                sweep = _oracle_many(
+                    [
+                        (csr, GraphArrays.from_csr(csr), packing, acct)
+                        for csr, packing, acct in zip(
+                            members, many.packings, many.accountants
+                        )
+                    ],
+                    batch_bytes=cfg.batch_bytes,
+                    compute_congest=cfg.compute_congest,
+                )
         except Exception as exc:
             if strict:
                 raise
@@ -996,96 +1044,22 @@ def _sweep_impl(
     return results  # type: ignore[return-value]
 
 
-def _solve_many_oracle(
-    graphs: "list[CSRGraph]", seeds: "list[int]", cfg: SolverConfig
-) -> list[MinCutResult]:
-    """The fused CSR/oracle sweep: batch every stage across graphs."""
-    for graph in graphs:
-        if not graph.is_connected():
-            components = len(np.unique(graph.connected_components()))
-            raise GraphValidationError(
-                f"graph must be connected: {graph.n} nodes form "
-                f"{components} connected components"
-            )
-
-    with obs_trace.span(
-        "sweep.pack_many", graphs=len(graphs), acct_prefix="packing:"
-    ):
-        many = pack_trees_many(
-            graphs, seeds, num_trees=cfg.num_trees,
-            ma_backend=cfg.ma_backend,
-        )
-
-    # Stage 2: stacked BFS/Euler arrays -- all trees of all graphs
-    # with a common node count share one level-synchronous build.
-    roots = [_root_index(graph) for graph in graphs]
-    with obs_trace.span("sweep.stacks", graphs=len(graphs)):
-        stacks = _build_stacks(graphs, many.tree_edge_arrays, roots)
-
-    # Stage 3: one chunked stacked-tensor oracle pass over the sweep.
-    arrays_list = [GraphArrays.from_csr(graph) for graph in graphs]
-    jobs = [
-        OracleJob.from_arrays(
-            arrays_list[g], stacks[g].tin, stacks[g].tout, stacks[g].pos
-        )
-        for g in range(len(graphs))
-    ]
-    with obs_trace.span("sweep.oracle", graphs=len(graphs)):
-        solved = batched_two_respecting_oracle_many(
-            jobs, batch_bytes=cfg.batch_bytes
-        )
-
-    # Stage 4: per-graph candidate decode + witness extraction.
-    results = []
-    for g, graph in enumerate(graphs):
-        stack = stacks[g]
-        values, flats = solved[g]
-        candidates = [
-            candidate_from_flat(
-                values[t], flats[t], graph.n,
-                lambda i, t=t: stack.edge_at(t, i),
-                CutCandidate,
-            )
-            for t in range(len(values))
-        ]
-        packing = many.packings[g]
-        acct = many.accountants[g]
-        rooted_cache: dict[int, RootedTree] = {}
-
-        def rooted_for(index, packing=packing, root=roots[g], cache=rooted_cache):
-            if index not in cache:
-                cache[index] = RootedTree(packing.trees[index], root)
-            return cache[index]
-
-        results.append(
-            _finalize_candidates(
-                csr=graph,
-                arrays=arrays_list[g],
-                packing=packing,
-                rooted_for=rooted_for,
-                candidates=candidates,
-                acct=acct,
-                compute_congest=cfg.compute_congest,
-                solver_name="oracle",
-            )
-        )
-    return results
-
-
-def _build_stacks(graphs, tree_edge_arrays, roots):
-    """One :class:`TreeStack` view per graph, same-``n`` graphs fused."""
+def _build_stacks(sizes, tree_edge_arrays, roots):
+    """One :class:`TreeStack` per graph, same-``n`` graphs built fused."""
     by_n: dict[int, list[int]] = {}
-    for g, graph in enumerate(graphs):
-        by_n.setdefault(graph.n, []).append(g)
-    stacks: list = [None] * len(graphs)
+    for g, n in enumerate(sizes):
+        by_n.setdefault(n, []).append(g)
+    stacks: list = [None] * len(sizes)
     for n, members in by_n.items():
-        edge_u_rows, edge_v_rows, root_rows, owners = [], [], [], []
+        edge_u_rows, edge_v_rows, root_rows = [], [], []
+        windows: dict[int, slice] = {}
         for g in members:
+            start = len(edge_u_rows)
             for eu, ev in tree_edge_arrays[g]:
                 edge_u_rows.append(eu)
                 edge_v_rows.append(ev)
                 root_rows.append(roots[g])
-                owners.append(g)
+            windows[g] = slice(start, len(edge_u_rows))
         if not edge_u_rows:
             continue
         fused = stacked_tree_arrays(
@@ -1093,25 +1067,9 @@ def _build_stacks(graphs, tree_edge_arrays, roots):
             np.array(root_rows, dtype=np.int64), n,
         )
         # Split the fused stack back into per-graph row-range views.
-        owners_arr = np.array(owners)
-        for g in members:
-            rows = np.nonzero(owners_arr == g)[0]
-            lo, hi = int(rows[0]), int(rows[-1]) + 1
-            stacks[g] = _StackView(fused, lo, hi)
+        for g, window in windows.items():
+            stacks[g] = TreeStack(
+                fused.order[window], fused.pos[window], fused.parent[window],
+                fused.tin[window], fused.tout[window],
+            )
     return stacks
-
-
-class _StackView:
-    """A per-graph row-range window onto a fused :class:`TreeStack`."""
-
-    __slots__ = ("tin", "tout", "pos", "_stack", "_lo")
-
-    def __init__(self, stack, lo: int, hi: int):
-        self._stack = stack
-        self._lo = lo
-        self.tin = stack.tin[lo:hi]
-        self.tout = stack.tout[lo:hi]
-        self.pos = stack.pos[lo:hi]
-
-    def edge_at(self, t: int, i: int):
-        return self._stack.edge_at(self._lo + t, i)

@@ -1,18 +1,17 @@
 """Array-backed tree kernel (flat indices, Euler tours, vectorized covers).
 
 ``TreeKernel`` is the per-tree index structure; ``cut_kernel`` holds the
-vectorized cover/cut computations built on it; ``batched`` stacks many
-tree kernels and solves their 2-respecting oracles in one numpy pass --
-for the packed trees of one graph or, via ``OracleJob`` /
-``batched_two_respecting_oracle_many``, across a whole sweep of graphs;
-``forest`` builds BFS/Euler arrays for stacks of same-size trees without
-per-tree Python loops.  The kernel is the only implementation; the
-pure-Python references it is tested against live in ``tests/reference.py``.
+vectorized cover/cut computations built on it; ``forest`` builds
+BFS/Euler arrays for stacks of same-size trees without per-tree Python
+loops; ``batched`` solves the 2-respecting oracles of such stacks in one
+numpy pass (``OracleJob`` / ``batched_two_respecting_oracle_many``), for
+the packed trees of one graph or of a whole sweep of graphs.  The kernel
+is the only implementation; the pure-Python references it is tested
+against live in ``tests/reference.py``.
 """
 
 from repro.kernel.batched import (
     OracleJob,
-    batched_two_respecting_oracle,
     batched_two_respecting_oracle_many,
     env_batch_bytes,
 )
@@ -29,7 +28,6 @@ from repro.kernel.tree_kernel import TreeKernel
 __all__ = [
     "GraphArrays",
     "OracleJob",
-    "batched_two_respecting_oracle",
     "batched_two_respecting_oracle_many",
     "env_batch_bytes",
     "TreeKernel",

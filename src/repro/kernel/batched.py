@@ -8,18 +8,14 @@ prefix-sum pass).  This module stacks the per-tree kernel arrays
 tensor, cumulative sums along both Euler axes, one gather cascade for the
 pair matrices, and one row-major argmin per tree.
 
-Two entry points share the low-level pass:
-
-* :func:`batched_two_respecting_oracle` -- all packed trees of **one**
-  graph (the per-call fast path ``minimum_cut`` uses);
-* :func:`batched_two_respecting_oracle_many` -- trees of **many** graphs
-  at once (the ``minimum_cut_many`` sweep path).  Jobs whose trees have
-  the same node count share stacked tensors, so a 50-graph sweep costs a
-  handful of numpy passes instead of 50; per-tree edge deposits arrive as
-  flattened COO triples, which makes mixed edge counts across graphs
-  exact no-ops for parity (``np.add.at`` walks the flattened triples in
-  the same tree-major, edge-order sequence the rectangular broadcast
-  used).
+One entry point, :func:`batched_two_respecting_oracle_many`, solves the
+trees of one graph or of many (the ``oracle`` solver's single solves and
+``minimum_cut_many`` sweeps alike).  Jobs whose trees have the same node
+count share stacked tensors, so a 50-graph sweep costs a handful of numpy
+passes instead of 50; per-tree edge deposits arrive as flattened COO
+triples, which makes mixed edge counts across graphs exact no-ops for
+parity (``np.add.at`` walks the flattened triples in tree-major,
+edge-order sequence).
 
 Bit-for-bit parity with the per-tree
 :func:`~repro.kernel.cut_kernel.pair_cover_matrix_kernel` path is a design
@@ -49,7 +45,6 @@ from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.cut_values import CutCandidate
-    from repro.trees.rooted import RootedTree
 
 _DEFAULT_BUDGET = 256 * 1024 * 1024
 #: bytes of scratch per tree per n² (prefix tensor + rows + matrix + cuts
@@ -152,14 +147,6 @@ def _solve_stacked(
     return values, flat
 
 
-def _tree_edge(tree: "RootedTree", i: int):
-    """The ``i``-th tree edge in BFS order -- O(1), no full edge list."""
-    from repro.trees.rooted import edge_key
-
-    node = tree.order[i + 1]
-    return edge_key(node, tree.parent[node])
-
-
 def candidate_from_flat(
     value: float, flat: int, n: int, edge_at, CutCandidate
 ) -> "CutCandidate":
@@ -183,62 +170,6 @@ def _filtered_edges(
         u_pos, v_pos = u_pos[nonzero], v_pos[nonzero]
         weights = weights[nonzero]
     return u_pos, v_pos, weights
-
-
-def batched_two_respecting_oracle(
-    arrays: GraphArrays,
-    trees: "Sequence[RootedTree]",
-    batch_bytes: int | None = None,
-) -> "list[CutCandidate]":
-    """Best 1-/2-respecting cut per tree, all trees solved in one pass.
-
-    Returns one :class:`CutCandidate` per tree, equal (value, edges, and
-    tie-break) to ``two_respecting_oracle(graph, tree, arrays=arrays)``.
-    """
-    from repro.core.cut_values import CutCandidate
-
-    if not trees:
-        return []
-    n = trees[0].kernel.n
-    if n <= 1:
-        raise ValueError("tree has no edges")
-
-    u_pos, v_pos, weights = _filtered_edges(arrays)
-
-    candidates: "list[CutCandidate]" = []
-    chunk = _chunk_size(n, batch_bytes)
-    for lo_t in range(0, len(trees), chunk):
-        batch = trees[lo_t:lo_t + chunk]
-        kernels = [tree.kernel for tree in batch]
-        c = len(kernels)
-        m = len(weights)
-        scratch = _BYTES_PER_CELL * c * (n + 1) * (n + 1)
-        obs_metrics.histogram("oracle.chunk_trees").observe(c)
-        obs_metrics.histogram("oracle.chunk_bytes").observe(scratch)
-        with obs_trace.span("oracle.chunk", trees=c, n=n, bytes=scratch):
-            # (c, n) stacked kernel arrays; the remap row of tree t sends
-            # the graph's node positions onto t's dense indices.
-            remap = np.stack([arrays.tree_remap(k) for k in kernels])
-            tin = np.stack([k.tin for k in kernels])
-            tout = np.stack([k.tout for k in kernels])
-
-            # (c, m) per-tree Euler times of every edge endpoint,
-            # flattened into tree-major COO deposits.
-            ut = np.take_along_axis(tin, remap[:, u_pos], axis=1)
-            vt = np.take_along_axis(tin, remap[:, v_pos], axis=1)
-            dep_t = np.repeat(np.arange(c, dtype=np.int64), m)
-            values, flat = _solve_stacked(
-                tin, tout, dep_t, ut.ravel(), vt.ravel(), np.tile(weights, c)
-            )
-        for t, tree in enumerate(batch):
-            candidates.append(
-                candidate_from_flat(
-                    values[t], flat[t], n,
-                    lambda i, tree=tree: _tree_edge(tree, i),
-                    CutCandidate,
-                )
-            )
-    return candidates
 
 
 class OracleJob:
@@ -290,9 +221,9 @@ def batched_two_respecting_oracle_many(
     """Solve every job's trees, fusing same-``n`` jobs into shared chunks.
 
     Returns, for each job in input order, ``(values, flat)`` arrays with
-    one entry per tree -- the same numbers
-    :func:`batched_two_respecting_oracle` would produce per graph
-    (decode with :func:`candidate_from_flat`).  Trees from different
+    one entry per tree -- the best cut of each tree, equal (value and
+    tie-break) to the per-tree ``two_respecting_oracle`` (decode with
+    :func:`candidate_from_flat`).  Trees from different
     graphs never interact: all per-tree arithmetic is slice-local, so
     fusing a 50-graph sweep into a handful of tensor passes is a pure
     amortization of numpy call overhead.

@@ -199,9 +199,8 @@ class MetricsRegistry:
         """JSON-friendly view of every instrument, names sorted.
 
         ``prefix`` narrows the view to one namespace (e.g.
-        ``snapshot(prefix="serve.resilience.")`` -- the chaos-harness
-        ledger) without paying for the rest of the pipeline's
-        instruments.
+        ``snapshot(prefix="oracle.")``) without paying for the rest of
+        the pipeline's instruments.
         """
 
         def keep(name: str) -> bool:

@@ -34,7 +34,6 @@ import asyncio
 import os
 from typing import Awaitable, Callable, Sequence
 
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["Batcher", "env_batch_ms"]
 
@@ -131,7 +130,6 @@ class Batcher:
         if self._queue is None:
             raise RuntimeError("batcher not started (call start() first)")
         await self._queue.put(item)
-        obs_metrics.gauge("serve.queue_depth").set(self._queue.qsize())
 
     # ------------------------------------------------------------------
     async def _run(self, queue: asyncio.Queue) -> None:
@@ -185,16 +183,12 @@ class Batcher:
         self.batches += 1
         self.items += len(batch)
         self.max_batch_seen = max(self.max_batch_seen, len(batch))
-        obs_metrics.histogram(
-            "serve.batch_size", (1, 2, 4, 8, 16, 32, 64, 128)
-        ).observe(len(batch))
         try:
             await self._flush(batch)
         except asyncio.CancelledError:  # hard stop: let stop() collect
             raise
         except BaseException as exc:
             self.flush_errors += 1
-            obs_metrics.counter("serve.batcher.flush_errors").inc()
             if self._on_error is not None:
                 await self._on_error(batch, exc)
 

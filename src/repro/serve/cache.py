@@ -33,7 +33,6 @@ from collections import OrderedDict
 from typing import Hashable
 
 from repro.core.session import GraphPacking
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["PackingCache", "packing_nbytes", "env_cache_bytes"]
 
@@ -99,13 +98,10 @@ class PackingCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                obs_metrics.counter("serve.cache.misses").inc()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             self.hit_bytes += entry[1]
-            obs_metrics.counter("serve.cache.hits").inc()
-            obs_metrics.counter("serve.cache.hit_bytes").inc(entry[1])
             return entry[0]
 
     def put(self, key: Hashable, packed: GraphPacking) -> int:
@@ -120,7 +116,6 @@ class PackingCache:
         with self._lock:
             if nbytes > self.budget_bytes:
                 self.rejected += 1
-                obs_metrics.counter("serve.cache.rejected").inc()
                 return 0
             old = self._entries.pop(key, None)
             if old is not None:
@@ -128,15 +123,12 @@ class PackingCache:
             self._entries[key] = (packed, nbytes)
             self._bytes += nbytes
             self.miss_bytes += nbytes
-            obs_metrics.counter("serve.cache.miss_bytes").inc(nbytes)
             while self._bytes > self.budget_bytes:
                 _evicted_key, (_packed, evicted_bytes) = (
                     self._entries.popitem(last=False)
                 )
                 self._bytes -= evicted_bytes
                 self.evictions += 1
-                obs_metrics.counter("serve.cache.evictions").inc()
-            obs_metrics.gauge("serve.cache.bytes").set(self._bytes)
             return nbytes
 
     def __contains__(self, key: Hashable) -> bool:
@@ -164,8 +156,8 @@ class PackingCache:
             self._bytes = 0
 
     def stats(self) -> dict:
-        """JSON-friendly counters (mirrored into ``repro.obs`` metrics
-        under ``serve.cache.*`` whenever tracing is enabled)."""
+        """JSON-friendly counters (always on; the one source of these
+        numbers, surfaced as ``MinCutService.stats()["packing_cache"]``)."""
         with self._lock:
             lookups = self.hits + self.misses
             return {

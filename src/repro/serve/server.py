@@ -35,7 +35,6 @@ from repro.core.mincut import MinCutResult
 from repro.core.session import SolverConfig, SweepFailure
 from repro.errors import OverloadedError, ServeError
 from repro.graphs.csr import CSRGraph
-from repro.obs import metrics as obs_metrics
 from repro.serve.chaos import ChaosPlan
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.service import MinCutService, ServeConfig
@@ -215,7 +214,6 @@ class MinCutServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
-        obs_metrics.counter("serve.tcp.connections").inc()
         try:
             while True:
                 try:
@@ -232,7 +230,6 @@ class MinCutServer:
                 if not stripped:
                     continue
                 self.requests += 1
-                obs_metrics.counter("serve.tcp.requests").inc()
                 if self.chaos is not None:
                     stall = self.chaos.slow_read_s()
                     if stall > 0:
@@ -242,14 +239,12 @@ class MinCutServer:
                         # The request is never dispatched; the client
                         # sees a reset and must retry from scratch.
                         self.resets += 1
-                        obs_metrics.counter("serve.tcp.resets").inc()
                         break
                     if fate == "drop-after":
                         # Solve (and cache) the result, then lose the
                         # response: the retry must be a cache hit.
                         await self._dispatch(stripped)
                         self.resets += 1
-                        obs_metrics.counter("serve.tcp.resets").inc()
                         break
                 response = await self._dispatch(stripped)
                 try:
@@ -263,7 +258,6 @@ class MinCutServer:
                     # already resolved (result cached or typed error);
                     # close this connection without disturbing others.
                     self.resets += 1
-                    obs_metrics.counter("serve.tcp.resets").inc()
                     break
         finally:
             writer.close()
@@ -302,7 +296,6 @@ class MinCutServer:
                     raise ValueError("deadline_ms must be positive")
         except Exception as exc:
             self.errors += 1
-            obs_metrics.counter("serve.tcp.bad_requests").inc()
             return {
                 "ok": False,
                 "op": op,
@@ -317,7 +310,6 @@ class MinCutServer:
             # Typed rejection (deadline, overload, breaker, shutdown):
             # structured, and flagged retryable where a retry can help.
             self.errors += 1
-            obs_metrics.counter("serve.tcp.rejections").inc()
             return error_to_wire(exc)
         except Exception as exc:
             # Defensive: per-graph failures come back as SweepFailure

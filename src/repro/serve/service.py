@@ -58,16 +58,16 @@ seeded :class:`~repro.serve.chaos.ChaosPlan` harness
 (``pytest -m servechaos``) asserts the full contract: result-or-typed-
 error, never a hang, ledgers reconciling with the injected faults.
 
-Instrumentation rides on :mod:`repro.obs` (spans ``serve.batch`` /
-``serve.solve_warm``, counters/gauges/histograms under ``serve.*`` and
-``serve.resilience.*``) and on always-on plain counters surfaced by
-:meth:`MinCutService.stats`, including p50/p99 latency from a
-fixed-bucket histogram.
+Every serve event is counted once, in always-on plain counters surfaced
+by :meth:`MinCutService.stats` (including p50/p99 latency from a
+fixed-bucket histogram); :mod:`repro.obs` adds only the timeline (spans
+``serve.batch`` / ``serve.solve_warm`` / ``serve.solve_degraded``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import bisect
 import os
 import time
 from collections import OrderedDict
@@ -87,7 +87,6 @@ from repro.core.session import (
 )
 from repro.errors import ServiceClosedError
 from repro.graphs.csr import CSRGraph, as_csr
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH,
@@ -194,8 +193,6 @@ class LatencyHistogram:
         self._lock = Lock()
 
     def observe(self, seconds: float) -> None:
-        import bisect
-
         with self._lock:
             self.counts[bisect.bisect_left(self.boundaries, seconds)] += 1
             self.count += 1
@@ -447,21 +444,18 @@ class MinCutService:
         get_solver(name)  # unknown solver: raise here, not inside the batch
         key = (csr.canonical_hash(), int(seed), name)
         self.requests += 1
-        obs_metrics.counter("serve.requests").inc()
 
         if self._results is not None:
             cached = self._results.get(key)
             if cached is not None:
                 self._results.move_to_end(key)
                 self.result_hits += 1
-                obs_metrics.counter("serve.result_cache.hits").inc()
                 self._observe_latency(started)
                 return cached, "result-cache"
 
         shared = self._inflight.get(key)
         if shared is not None:
             self.inflight_hits += 1
-            obs_metrics.counter("serve.inflight.hits").inc()
             result = await asyncio.shield(shared)
             self._observe_latency(started)
             return result, "inflight"
@@ -477,21 +471,12 @@ class MinCutService:
         if deadline is not None and deadline.expired(self._now()):
             # only possible under clock skew: the budget died in transit.
             self.expired += 1
-            obs_metrics.counter("serve.resilience.expired").inc()
             raise deadline.error(self._now(), "before batching")
         breaker = self._breaker_for(name)
         if breaker is not None:
-            try:
-                breaker.allow(name)
-            except Exception:
-                obs_metrics.counter("serve.resilience.breaker_open").inc()
-                raise
+            breaker.allow(name)
         nbytes = _graph_nbytes(csr)
-        try:
-            self._admission.admit(nbytes)
-        except Exception:
-            obs_metrics.counter("serve.resilience.shed").inc()
-            raise
+        self._admission.admit(nbytes)
 
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
@@ -516,11 +501,7 @@ class MinCutService:
         return result, "solved"
 
     def _observe_latency(self, started: float) -> None:
-        elapsed = time.perf_counter() - started
-        self.latency.observe(elapsed)
-        obs_metrics.histogram(
-            "serve.latency_seconds", LATENCY_BUCKETS
-        ).observe(elapsed)
+        self.latency.observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -567,7 +548,6 @@ class MinCutService:
                 breaker.record_success()
         else:
             self.failures += 1
-            obs_metrics.counter("serve.failures").inc()
             # Only solve-stage failures poison a circuit: validate-stage
             # rejections are the client's bad input, not the solver's.
             if breaker is not None and result.stage == "solve":
@@ -578,7 +558,6 @@ class MinCutService:
 
     def _expire(self, pending: _Pending, where: str) -> None:
         self.expired += 1
-        obs_metrics.counter("serve.resilience.expired").inc()
         self._reject(
             pending, pending.deadline.error(self._now(), where)
         )
@@ -628,7 +607,6 @@ class MinCutService:
             # abandoned (its late result is discarded by the future.done()
             # guards) and the batch degrades to individual solves.
             self.watchdog_trips += 1
-            obs_metrics.counter("serve.resilience.watchdog_trips").inc()
             self._abandon(task)
             await self._degrade(live)
             return
@@ -708,7 +686,6 @@ class MinCutService:
             ))
             return
         self.degraded += 1
-        obs_metrics.counter("serve.resilience.degraded").inc()
         for member, result in outcomes:
             if isinstance(result, MinCutResult):
                 result.stats["served_degraded"] = True
@@ -835,7 +812,6 @@ class MinCutService:
     ) -> "MinCutResult | SweepFailure":
         """Re-solve a cached packing (Theorem 12 skipped entirely)."""
         self.warm_solves += 1
-        obs_metrics.counter("serve.warm_solves").inc()
         started = time.perf_counter()
         try:
             with obs_trace.span(

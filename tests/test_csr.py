@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.cut_values import two_respecting_oracle
+from repro.core.cut_values import CutCandidate, two_respecting_oracle
 from repro.core.tree_packing import pack_trees
 from repro.graphs import (
     CSR_FAMILY_BUILDERS,
@@ -33,7 +33,11 @@ from repro.graphs import (
     tree_plus_chords,
     validate_weights,
 )
-from repro.kernel.batched import batched_two_respecting_oracle
+from repro.kernel.batched import (
+    OracleJob,
+    batched_two_respecting_oracle_many,
+    candidate_from_flat,
+)
 from repro.kernel.cut_kernel import GraphArrays
 from repro.trees.rooted import RootedTree
 
@@ -438,6 +442,26 @@ class TestMinimumCutEquivalence:
         assert result.congest.excluded_minor == ref.congest.excluded_minor
 
 
+def batched_oracle(arrays, trees):
+    """One stacked-kernel job over ``trees``' kernels, decoded per tree."""
+    kernels = [tree.kernel for tree in trees]
+    job = OracleJob.from_arrays(
+        arrays,
+        np.stack([k.tin for k in kernels]),
+        np.stack([k.tout for k in kernels]),
+        np.stack([arrays.tree_remap(k) for k in kernels]),
+    )
+    [(values, flats)] = batched_two_respecting_oracle_many([job])
+    return [
+        candidate_from_flat(
+            values[t], flats[t], kernels[t].n,
+            lambda i, edges=list(tree.edges()): edges[i],
+            CutCandidate,
+        )
+        for t, tree in enumerate(trees)
+    ]
+
+
 class TestBatchedSolver:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_tree_oracle(self, seed):
@@ -449,7 +473,7 @@ class TestBatchedSolver:
             RootedTree(random_spanning_tree(graph, seed=seed * 10 + k), 0)
             for k in range(5)
         ]
-        batched = batched_two_respecting_oracle(arrays, trees)
+        batched = batched_oracle(arrays, trees)
         for tree, candidate in zip(trees, batched):
             reference = two_respecting_oracle(graph, tree, arrays=arrays)
             assert candidate.value == reference.value
@@ -461,15 +485,14 @@ class TestBatchedSolver:
         trees = [
             RootedTree(random_spanning_tree(graph, seed=k), 0) for k in range(6)
         ]
-        full = batched_two_respecting_oracle(arrays, trees)
+        full = batched_oracle(arrays, trees)
         monkeypatch.setenv("REPRO_BATCH_BYTES", "1")  # forces chunk size 1
-        chunked = batched_two_respecting_oracle(arrays, trees)
+        chunked = batched_oracle(arrays, trees)
         assert [c.value for c in full] == [c.value for c in chunked]
         assert [c.edges for c in full] == [c.edges for c in chunked]
 
     def test_empty_tree_list(self):
-        graph = random_connected_gnm(6, 9, seed=1)
-        assert batched_two_respecting_oracle(GraphArrays.from_graph(graph), []) == []
+        assert batched_two_respecting_oracle_many([]) == []
 
 
 class TestEnginesOnCSR:

@@ -311,6 +311,9 @@ class TestMinCutService:
             assert source == "solved"  # no result cache -- it re-solved
             assert result.stats["served_warm"] is True
             assert_served_bit_identical(result, graph, seed)
+            # The warm solve ran on the packing adopted from the cold sweep.
+            packing = result.packing
+            assert len(packing.tree_edge_arrays) == len(packing.trees)
         assert stats["warm_solves"] == 3
         assert stats["packing_cache"]["hits"] == 3
 

@@ -26,7 +26,6 @@ import repro
 from repro.core.mincut import MinCutResult
 from repro.errors import DeadlineExceededError, OverloadedError
 from repro.graphs import CSR_FAMILY_BUILDERS
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve import (
     ChaosPlan,
@@ -329,7 +328,6 @@ class TestGrandMixedPlan:
 
         async def scenario():
             with obs_trace.tracing():
-                obs_metrics.reset()
                 async with MinCutServer(
                     port=0, serve=SERVE, chaos=self.PLAN
                 ) as server:
@@ -346,10 +344,9 @@ class TestGrandMixedPlan:
                         server.resets,
                         server.chaos.stats(),
                         server.service.stats(),
-                        obs_metrics.snapshot(prefix="serve.resilience."),
                     )
 
-        summary, resets, injected, stats, obs_snap = run(scenario())
+        summary, resets, injected, stats = run(scenario())
         # Every request terminated; failures (if any) are typed.
         assert sum(summary["sources"].values()) + summary["failures"] == count
         assert set(summary["errors"]) <= TYPED_WIRE_ERRORS
@@ -366,11 +363,6 @@ class TestGrandMixedPlan:
         assert stats["chaos"] == injected
         assert stats["failures"] == 0  # crashes degraded, never surfaced
         assert stats["resilience"]["degraded"] >= injected["worker_errors"]
-        # The obs instruments agree with the always-on counters.
-        degraded_obs = obs_snap["counters"].get("serve.resilience.degraded", 0)
-        assert degraded_obs == stats["resilience"]["degraded"]
-        expired_obs = obs_snap["counters"].get("serve.resilience.expired", 0)
-        assert expired_obs == stats["resilience"]["expired"]
 
     def test_same_plan_same_seed_same_fate_stream(self):
         a = self.PLAN.injector()

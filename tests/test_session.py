@@ -2,8 +2,10 @@
 batched many-graph entrypoint -- including the bit-identity contracts the
 redesign promises (wrapper == session == sweep, ledger included)."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -274,12 +276,26 @@ class TestBaselineSolvers:
 # ----------------------------------------------------------------------
 # minimum_cut_many: the batched sweep entrypoint
 # ----------------------------------------------------------------------
+def assert_packings_identical(reference, packing):
+    """Field by field, the per-tree edge arrays with ``np.array_equal``."""
+    for field in dataclasses.fields(reference):
+        expected = getattr(reference, field.name)
+        got = getattr(packing, field.name)
+        if field.name == "tree_edge_arrays":
+            assert len(got) == len(expected)
+            for pair, expected_pair in zip(got, expected):
+                assert all(map(np.array_equal, pair, expected_pair))
+        else:
+            assert got == expected, field.name
+
+
 def assert_results_bit_identical(reference, result, check_rounds=True):
     assert result.value == reference.value
     assert result.partition == reference.partition
     assert result.cut_edges == reference.cut_edges
     assert result.candidate == reference.candidate
     assert result.best_tree_index == reference.best_tree_index
+    assert_packings_identical(reference.packing, result.packing)
     if check_rounds:
         assert result.ma_rounds == reference.ma_rounds
         assert result.stats["accountant"] == reference.stats["accountant"]
