@@ -668,7 +668,7 @@ def _solve_oracle(packed: GraphPacking, ctx: SolveContext) -> MinCutResult:
         # Automatic degradation: the stacked tensor does not fit the
         # scratch budget (or the allocator), so give up on batching and
         # solve tree by tree -- same candidates, just slower.
-        failed_phase = obs_trace.last_error_span() or "oracle.batched"
+        failed_phase = obs_trace.last_error_span(exc) or "oracle.batched"
         obs_metrics.counter("session.degraded").inc()
         with obs_trace.span("oracle.per_tree_fallback", reason=str(exc)):
             candidates = [
@@ -827,7 +827,7 @@ def _sweep_failure(
         message=str(exc),
         solver=solver,
         seconds=seconds,
-        phase=obs_trace.last_error_span() or stage,
+        phase=obs_trace.last_error_span(exc) or stage,
     )
 
 
@@ -1001,7 +1001,7 @@ def _sweep_impl(
                 "from": "fused-oracle-sweep",
                 "to": "per-graph-session",
                 "reason": f"{type(exc).__name__}: {exc}",
-                "phase": obs_trace.last_error_span() or "sweep.oracle",
+                "phase": obs_trace.last_error_span(exc) or "sweep.oracle",
                 "seconds": time.perf_counter() - started,
             }
             sweep = [solve_one(i, degraded=dict(degraded)) for i in batched]
@@ -1030,7 +1030,7 @@ def _sweep_impl(
                     message="; ".join(certificate.failures),
                     solver=cfg.solver,
                     seconds=time.perf_counter() - started,
-                    phase=obs_trace.last_error_span() or "certify",
+                    phase="certify",
                 )
 
     for index, result in enumerate(results):

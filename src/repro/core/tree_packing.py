@@ -14,8 +14,10 @@ paper's proof sketch:
 
 Substitution note (DESIGN.md): the sampling threshold needs a constant
 approximation of the min-cut value; the paper uses the Õ(1)-round
-(1+eps)-approximation of [GH16], we use our own Stoer-Wagner's exact value
--- only the sampling probability depends on it.
+(1+eps)-approximation of [GH16], we use the exact value, computed by
+Nagamochi-Ono-Ibaraki contraction (:func:`_exact_min_cut_value`; the same
+value Stoer-Wagner returns, in one or two maximum-adjacency scans instead
+of n-1) -- only the sampling probability depends on it.
 
 Packing runs on a :class:`~repro.graphs.csr.CSRGraph` (networkx input is
 converted once, at the session boundary).  One packer serves one graph
@@ -39,6 +41,7 @@ with their edge arrays (what :mod:`repro.kernel.forest` consumes).
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -171,6 +174,55 @@ def pack_trees_many(
     )
 
 
+def _exact_min_cut_value(graph: CSRGraph) -> float:
+    """Exact min-cut value λ by Nagamochi-Ono-Ibaraki contraction.
+
+    λ̂ starts as the minimum weighted degree (a cut, so λ̂ ≥ λ).  Each
+    phase runs one maximum-adjacency scan and records, for every edge,
+    q(e) = r(y): the attachment of its later-scanned endpoint y right
+    after e is scanned.  Since q(x, y) ≤ λ(x, y), contracting every edge
+    with q(e) ≥ λ̂ -- and the last two scanned nodes, whose local
+    connectivity is the last node's degree -- keeps every cut lighter
+    than λ̂ intact; the supernode degrees of the contracted graph then
+    tighten λ̂.  Value only.  Every λ̂ is a sum of edge weights, exact
+    for integer weights, so those inputs get exactly Stoer-Wagner's
+    value; float weights may differ from it in the last ulps (another
+    summation order).
+    """
+    if not graph.is_connected():
+        raise ValueError("graph must be connected")
+    g = graph.drop_self_loops()
+    best = math.inf
+    while g.n > 1:
+        best = min(best, float(g.weighted_degrees().min()))
+        if g.n == 2 or best == 0.0:
+            break  # two nodes: the degree is the only cut; λ ≥ 0
+        indptr, indices = g.indptr.tolist(), g.indices.tolist()
+        weight, row = g.adj_weight.tolist(), g.adj_edge.tolist()
+        attach = [0.0] * g.n
+        scanned = [False] * g.n
+        q = [0.0] * g.m
+        order: list[int] = []
+        heap = [(-0.0, 0)]
+        while heap:
+            _neg, x = heapq.heappop(heap)
+            if scanned[x]:
+                continue  # stale entry: x was scanned at a higher attachment
+            scanned[x] = True
+            order.append(x)
+            for slot in range(indptr[x], indptr[x + 1]):
+                y = indices[slot]
+                if not scanned[y]:
+                    attach[y] += weight[slot]
+                    q[row[slot]] = attach[y]
+                    heapq.heappush(heap, (-attach[y], y))
+        merge = np.array(q) >= best
+        u = np.append(g.edge_u[merge], order[-1])
+        v = np.append(g.edge_v[merge], order[-2])
+        g, _dense = g.contract(merge_components(np.arange(g.n), u, v))
+    return best
+
+
 class _PackState:
     """One graph's packing inputs (from the preamble) and outputs."""
 
@@ -189,12 +241,10 @@ class _PackState:
         self.phases = log2ceil(n) + 1
 
         if approx_cut_value is None:
-            from repro.baselines.stoer_wagner import stoer_wagner_min_cut
-
             with obs_trace.span(
                 "pack.approx_min_cut", n=n, acct="packing:approx-min-cut"
             ):
-                approx_cut_value, _partition = stoer_wagner_min_cut(graph)
+                approx_cut_value = _exact_min_cut_value(graph)
             acct.charge(log2ceil(n) ** 2, "packing:approx-min-cut")
         self.approx = approx_cut_value
 

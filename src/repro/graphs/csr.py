@@ -561,13 +561,38 @@ class CSRGraph:
         return bool((self.bfs_levels(0) >= 0).all())
 
     def diameter(self) -> int:
-        """Exact hop diameter (all-sources BFS; requires connectivity)."""
+        """Exact hop diameter by bounded eccentricities (requires
+        connectivity).
+
+        Takes & Kosters 2011: a BFS from ``v`` with eccentricity ``e``
+        bounds every node's eccentricity to ``[max(d, e - d), e + d]``
+        (``d`` its distance from ``v``).  Sources alternate between the
+        candidate with the largest upper bound and the one with the
+        smallest lower bound; a node stops being a candidate once its
+        upper bound is at most the largest eccentricity found, so the
+        loop ends with that eccentricity as the diameter.  Each BFS
+        retires at least its source, so it never runs more than ``n``
+        BFSs, and usually a handful.
+        """
+        lower = np.zeros(self.n, dtype=np.int64)
+        upper = np.full(self.n, self.n, dtype=np.int64)
+        candidates = np.ones(self.n, dtype=bool)
         best = 0
-        for source in range(self.n):
+        high = True
+        while candidates.any():
+            if high:
+                source = int(np.where(candidates, upper, -1).argmax())
+            else:
+                source = int(np.where(candidates, lower, self.n + 1).argmin())
+            high = not high
             dist = self.bfs_levels(source)
             if (dist < 0).any():
                 raise GraphValidationError("diameter of a disconnected graph")
-            best = max(best, int(dist.max()))
+            ecc = int(dist.max())
+            best = max(best, ecc)
+            np.maximum(lower, np.maximum(dist, ecc - dist), out=lower)
+            np.minimum(upper, ecc + dist, out=upper)
+            candidates &= upper > best
         return best
 
     # ------------------------------------------------------------------

@@ -228,8 +228,16 @@ def current_span() -> "Span | None":
     return stack[-1] if stack else None
 
 
-def last_error_span() -> str | None:
-    """Name of the last span on this thread that exited with an exception."""
+def last_error_span(exc: BaseException | None = None) -> str | None:
+    """Name of the last span on this thread that exited with an exception.
+
+    Pass the exception a guarded attempt caught to get the innermost span
+    that *this* exception unwound through, or None when it left no span
+    (it was raised outside one, or before one opened): without it, the
+    name may belong to an earlier, unrelated failure.
+    """
+    if exc is not None and getattr(_local, "error_exc", None) is not exc:
+        return None
     return getattr(_local, "error_span", None)
 
 

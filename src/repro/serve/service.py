@@ -827,7 +827,7 @@ class MinCutService:
                 message=str(exc),
                 solver=solver,
                 seconds=time.perf_counter() - started,
-                phase=obs_trace.last_error_span() or "serve.solve_warm",
+                phase=obs_trace.last_error_span(exc) or "serve.solve_warm",
                 graph_hash=pending.key[0],
             )
         result.stats.setdefault("sweep", {

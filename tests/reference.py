@@ -3,8 +3,9 @@
 The package has one implementation of every tree/cut primitive: the
 array-backed kernel (:mod:`repro.kernel`).  The straightforward versions
 below -- parent-pointer walks, explicit path accumulation, subtree set
-algebra, and exhaustive 2^n cut enumeration -- are slow but obviously
-correct, so the test suite checks the kernel against them directly.
+algebra, exhaustive 2^n cut enumeration, an all-sources BFS diameter --
+are slow but obviously correct, so the test suite checks the kernel
+against them directly.
 
 Graphs are networkx graphs (any hashable labels, weight attribute
 defaulting to 1) and trees are :class:`~repro.trees.rooted.RootedTree`
@@ -20,6 +21,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.cut_values import CutCandidate
+from repro.errors import GraphValidationError
 from repro.graphs import CSRGraph
 from repro.trees.rooted import RootedTree, edge_key
 
@@ -205,3 +207,18 @@ def exhaustive_min_cut(graph: "nx.Graph | CSRGraph") -> tuple[float, frozenset]:
         return best_value, frozenset(best_side)
     labels = csr.node_labels()
     return best_value, frozenset(labels[i] for i in best_side)
+
+
+# ----------------------------------------------------------------------
+# Hop diameter
+# ----------------------------------------------------------------------
+def reference_diameter(graph: CSRGraph) -> int:
+    """Exact hop diameter by one BFS from every node (requires
+    connectivity)."""
+    best = 0
+    for source in range(graph.n):
+        dist = graph.bfs_levels(source)
+        if (dist < 0).any():
+            raise GraphValidationError("diameter of a disconnected graph")
+        best = max(best, int(dist.max()))
+    return best

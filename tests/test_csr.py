@@ -14,14 +14,18 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.core.cut_values import CutCandidate, two_respecting_oracle
 from repro.core.tree_packing import pack_trees
+from repro.errors import GraphValidationError
 from repro.graphs import (
     CSR_FAMILY_BUILDERS,
     CSRGraph,
     barbell_graph,
+    csr_barbell_graph,
+    csr_cycle_graph,
     csr_random_connected_gnm,
     cycle_graph,
     delaunay_planar_graph,
@@ -40,6 +44,7 @@ from repro.kernel.batched import (
 )
 from repro.kernel.cut_kernel import GraphArrays
 from repro.trees.rooted import RootedTree
+from tests.reference import reference_diameter
 
 #: networkx twins of the CLI family builders (same args as CSR_FAMILY_BUILDERS).
 NX_FAMILY_BUILDERS = {
@@ -341,6 +346,84 @@ class TestPrimitives:
         csr = CSR_FAMILY_BUILDERS["delaunay"](30, 1)
         graph = csr.to_networkx()
         assert csr.degrees().tolist() == [graph.degree(i) for i in range(csr.n)]
+
+
+def _path(n):
+    return CSRGraph(n, np.arange(n - 1), np.arange(1, n))
+
+
+def _star(n):
+    return CSRGraph(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
+
+
+def _complete(n):
+    u, v = np.triu_indices(n, k=1)
+    return CSRGraph(n, u, v)
+
+
+def _random_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    children = np.arange(1, n)
+    return CSRGraph(n, [int(rng.integers(0, c)) for c in children], children)
+
+
+@st.composite
+def _connected_graph(draw):
+    """A random spanning tree plus random chords (parallel edges and
+    self-loops included)."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    parents = [draw(st.integers(min_value=0, max_value=c - 1)) for c in range(1, n)]
+    chords = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n
+    ))
+    u = parents + [a for a, _b in chords]
+    v = list(range(1, n)) + [b for _a, b in chords]
+    return CSRGraph(n, u, v)
+
+
+class TestDiameter:
+    """``CSRGraph.diameter`` (bounded eccentricities) against the
+    all-sources BFS reference."""
+
+    @pytest.mark.parametrize("family", sorted(CSR_FAMILY_BUILDERS))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_families(self, family, seed):
+        for n in (8, 24, 60):
+            graph = CSR_FAMILY_BUILDERS[family](n, seed)
+            assert graph.diameter() == reference_diameter(graph)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33])
+    def test_shapes(self, n):
+        shapes = [
+            csr_cycle_graph(n), _path(n), _star(n), _complete(n),
+            _random_tree(n, seed=n), _random_tree(n, seed=n + 100),
+        ]
+        if n >= 4:
+            shapes.append(csr_barbell_graph(max(3, n // 3), n // 2))
+        for graph in shapes:
+            assert graph.diameter() == reference_diameter(graph)
+        assert _path(n).diameter() == n - 1
+        assert _star(n).diameter() == min(2, n - 1)
+        assert _complete(n).diameter() == 1
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(_connected_graph())
+    def test_random_connected(self, graph):
+        assert graph.diameter() == reference_diameter(graph)
+
+    def test_single_node_is_zero(self):
+        assert CSRGraph(1, [], []).diameter() == 0
+
+    def test_disconnected_raises(self):
+        csr = CSRGraph(4, [0, 2], [1, 3], [1, 1])
+        with pytest.raises(GraphValidationError, match="disconnected"):
+            csr.diameter()
+        with pytest.raises(GraphValidationError):
+            reference_diameter(csr)
 
 
 class TestGeneratorEquivalence:

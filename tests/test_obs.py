@@ -97,6 +97,18 @@ class TestTracer:
                         raise ValueError("boom")
         assert trace.last_error_span() == "bad"
 
+    def test_last_error_span_of_an_exception(self):
+        with trace.tracing():
+            try:
+                with trace.span("bad"):
+                    raise ValueError("first")
+            except ValueError as exc:
+                first = exc
+            second = KeyError("raised outside any span")
+        assert trace.last_error_span(first) == "bad"
+        assert trace.last_error_span(second) is None
+        assert trace.last_error_span() == "bad"
+
     def test_subtree_selects_descendants_only(self):
         with trace.tracing():
             with trace.span("stranger"):

@@ -226,6 +226,22 @@ class TestStagedSessions:
         assert tiny.partition == reference.partition
         assert tiny.candidate == reference.candidate
 
+    def test_degrade_phase_ignores_earlier_failures(self):
+        """A pinned-budget solve fails before any span opens, so its
+        degrade record must not name the span of an earlier failure
+        (here the fused sweep's ``sweep.oracle``)."""
+        from repro.obs import trace
+
+        graph = build("gnm", 20, 1)
+        config = repro.SolverConfig(solver="oracle", batch_bytes=64)
+        with trace.tracing():
+            swept = repro.minimum_cut_many([graph], config=config)
+            assert trace.last_error_span() == "sweep.oracle"
+            result = repro.MinCutSolver(config).solve(graph, seed=0)
+        assert swept[0].stats["degraded"]["phase"] == "oracle.batched"
+        assert result.stats["degraded"]["to"] == "per-tree-oracle"
+        assert result.stats["degraded"]["phase"] == "oracle.batched"
+
 
 # ----------------------------------------------------------------------
 # Baseline solvers through the registry

@@ -5,13 +5,21 @@ Packed trees are index-space adjacency mappings ``{node: [neighbors]}``.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.accounting import RoundAccountant
 from repro.baselines import stoer_wagner_min_cut
-from repro.core.tree_packing import default_tree_count, pack_trees
+from repro.core.tree_packing import (
+    _exact_min_cut_value,
+    default_tree_count,
+    pack_trees,
+)
 from repro.graphs import (
+    CSR_FAMILY_BUILDERS,
     CSRGraph,
+    csr_delaunay_planar_graph,
     csr_grid_graph,
     csr_planted_cut_graph,
     csr_random_connected_gnm,
@@ -134,3 +142,85 @@ class TestAccounting:
         b = pack_trees(graph, seed=9)
         sigs = lambda p: [frozenset(tree_edges(t)) for t in p.trees]
         assert sigs(a) == sigs(b)
+
+
+@st.composite
+def _weighted_multigraph(draw, integer=True):
+    """A connected graph on 2..14 nodes: a random spanning tree plus
+    random extra edges, parallel edges and self-loops included (the CSR
+    constructor merges parallels by weight sum)."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    parents = [draw(st.integers(min_value=0, max_value=c - 1)) for c in range(1, n)]
+    extra = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n
+    ))
+    u = parents + [a for a, _b in extra]
+    v = list(range(1, n)) + [b for _a, b in extra]
+    if integer:
+        weight = st.integers(min_value=0, max_value=10**6)
+    else:
+        weight = st.floats(min_value=1e-3, max_value=1e6)
+    weights = draw(st.lists(weight, min_size=len(u), max_size=len(u)))
+    return CSRGraph(n, u, v, weights)
+
+
+_PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class TestExactMinCutValue:
+    """The packing preamble's λ (Nagamochi-Ono-Ibaraki contraction) is
+    Stoer-Wagner's value."""
+
+    @_PROPERTY
+    @given(_weighted_multigraph())
+    def test_integer_weights_match_stoer_wagner_exactly(self, graph):
+        assert _exact_min_cut_value(graph) == stoer_wagner_min_cut(graph)[0]
+
+    @_PROPERTY
+    @given(_weighted_multigraph(integer=False))
+    def test_float_weights_match_within_rounding(self, graph):
+        expected = stoer_wagner_min_cut(graph)[0]
+        assert _exact_min_cut_value(graph) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tiny_graphs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        u, v = np.triu_indices(n, k=1)
+        keep = rng.random(len(u)) < 0.8
+        keep[: n - 1] = True  # (0, 1) and, for n = 3, (0, 2) span
+        graph = CSRGraph(
+            n, np.append(u[keep], 0), np.append(v[keep], 0),
+            rng.integers(0, 9, keep.sum() + 1),
+        )
+        assert _exact_min_cut_value(graph) == stoer_wagner_min_cut(graph)[0]
+
+    @pytest.mark.parametrize("family", sorted(CSR_FAMILY_BUILDERS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generator_families(self, family, seed):
+        for n in (12, 40):
+            graph = CSR_FAMILY_BUILDERS[family](n, seed)
+            assert _exact_min_cut_value(graph) == stoer_wagner_min_cut(graph)[0]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            csr_random_connected_gnm(120, 360, seed=3),
+            csr_grid_graph(9, 12, seed=3),
+            csr_delaunay_planar_graph(100, seed=3),
+        ],
+        ids=["gnm", "grid", "delaunay"],
+    )
+    def test_pack_trees_records_stoer_wagner_value(self, graph):
+        packing = pack_trees(graph, seed=3)
+        assert packing.approx_cut_value == stoer_wagner_min_cut(graph)[0]
+        assert type(packing.approx_cut_value) is float
+
+    def test_disconnected_graph_rejected(self):
+        graph = CSRGraph(4, [0, 2], [1, 3], [5, 5])
+        with pytest.raises(ValueError, match="connected"):
+            pack_trees(graph)
